@@ -60,10 +60,12 @@ MIN_SHARDS = 8
 MAX_SHARDS = 64
 
 
+def _key_digest(key: Tuple) -> bytes:
+    return hashlib.blake2b(repr(key).encode(), digest_size=16).digest()
+
+
 def _digest(st: MState) -> bytes:
-    return hashlib.blake2b(
-        repr(sym.state_key(st)).encode(), digest_size=16
-    ).digest()
+    return _key_digest(sym.state_key(st))
 
 
 def _shard_of(digest: bytes, n_shards: int) -> int:
@@ -121,6 +123,8 @@ def _expand_shard(payload: Dict[str, object]) -> Dict[str, object]:
     truncated = False
     violations: List[Dict[str, object]] = []
 
+    first = entries[0][0]  # shard files are only written non-empty
+    canon = sym.Canonicalizer(len(first.nodes), len(first.entries))
     for st, trace, sig, lam in entries:
         max_depth = max(max_depth, len(trace))
         if depth is not None and len(trace) >= int(depth):  # type: ignore[arg-type]
@@ -141,12 +145,13 @@ def _expand_shard(payload: Dict[str, object]) -> Dict[str, object]:
         for label, nxt in succ:
             transitions += 1
             if reduce_sym:
-                cnxt, rho_s, rho_l, orbit = sym.canonicalize(nxt)
+                cnxt, rho_s, rho_l, orbit, key = canon(nxt)
+                dg = _key_digest(key)
             else:
                 cnxt, orbit = nxt, 1
                 rho_s = sym.identity(len(st.nodes))
                 rho_l = sym.identity(len(st.entries))
-            dg = _digest(cnxt)
+                dg = _digest(cnxt)
             bucket = buckets.setdefault(_shard_of(dg, n_shards), {})
             if dg not in bucket:
                 bucket[dg] = (

@@ -1028,6 +1028,8 @@ def _bfs(
 ) -> ExploreResult:
     visited = {st for st, _, _, _ in roots}
     frontier = deque(roots)
+    root = roots[0][0]
+    canon = sym.Canonicalizer(len(root.nodes), len(root.entries))
     transitions = 0
     pruned = 0
     sym_states = len(visited)  # roots are symmetric or pre-canonical
@@ -1056,7 +1058,7 @@ def _bfs(
         for label, nxt in succ:
             transitions += 1
             if reduce_sym:
-                cnxt, rho_s, rho_l, orbit = sym.canonicalize(nxt)
+                cnxt, rho_s, rho_l, orbit, _ = canon(nxt)
             else:
                 cnxt, orbit = nxt, 1
                 rho_s = sym.identity(len(st.nodes))
@@ -1188,6 +1190,7 @@ def check_model(
         )
 
     # Inline expansion until the frontier is wide enough to partition.
+    canon = sym.Canonicalizer(n_nodes, n_lines)
     visited = {init}
     frontier: deque = deque([root_entry(init)])
     transitions = 0
@@ -1215,7 +1218,7 @@ def check_model(
         for label, nxt in succ:
             transitions += 1
             if reduce_sym:
-                cnxt, rho_s, rho_l, orbit = sym.canonicalize(nxt)
+                cnxt, rho_s, rho_l, orbit, _ = canon(nxt)
             else:
                 cnxt, orbit = nxt, 1
                 rho_s = sym.identity(n_nodes)

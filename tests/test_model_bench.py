@@ -32,6 +32,7 @@ REQUIRED_CONFIGS = (
 
 #: Rows cheap enough to re-derive exactly inside tier-1.
 REDERIVE = {
+    "n2-L1-loads1-stores1": dict(n_nodes=2, loads=1, stores=1, n_lines=1),
     "n4-L1-loads0-stores1": dict(n_nodes=4, loads=0, stores=1, n_lines=1),
     "n3-L2-loads0-stores1": dict(n_nodes=3, loads=0, stores=1, n_lines=2),
 }

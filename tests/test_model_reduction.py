@@ -8,16 +8,20 @@ Three layers, mirroring the arguments in ``analyze/symmetry.py`` and
   idempotent, and every member of an orbit canonicalizes to the same
   representative.  This is the load-bearing property — it is exactly
   the hypothesis under which exploring only canonical representatives
-  preserves every violation.
+  preserves every violation.  The key-first canonicalization must
+  also return exactly what the brute-force definition (permute into
+  every orbit member, keep the least key) returns.
 * **Ample-set safety** (hypothesis): whenever ``ample_probe`` elects a
   singleton set, the elected dispatch commutes one-step with every
   other enabled transition, and prunes nothing permanently (every
   other transition is still enabled afterwards).
 * **Agreement end-to-end**: reduced and flat exploration agree on the
   verdict for the shipped table and for a broken one, and the
-  disk-backed frontier survives a mid-run kill.
+  disk-backed frontier survives a mid-run kill and keeps the visited
+  digest bytes earlier runs wrote.
 """
 
+import hashlib
 import pickle
 
 import pytest
@@ -25,10 +29,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
-from repro.protocol import extensions
+from repro.protocol import extensions, registry
 from repro.protocol.directory import DirectoryLayout
 from repro.protocol.handlers import build_handler_table
 
+from repro.analyze import frontier
 from repro.analyze import symmetry as sym
 from repro.analyze.model import (
     ample_probe,
@@ -149,6 +154,64 @@ class TestSymmetryCongruence:
             sym.invert(sigma), sym.invert(lam),
         )
         assert sym.state_key(back) == sym.state_key(state)
+
+
+def brute_force_canonicalize(state):
+    """The definition :func:`sym.canonicalize` must reproduce exactly:
+    permute into every orbit member, keep the first strict minimum of
+    ``state_key`` in ``node_perms × line_perms`` order (identity
+    first), and count the distinct keys."""
+    n_nodes, n_lines = len(state.nodes), len(state.entries)
+    best = None
+    keys = set()
+    for sigma in sym.node_perms(n_nodes):
+        for lam in sym.line_perms(n_lines):
+            key = sym.state_key(sym.permute_state(state, sigma, lam))
+            keys.add(key)
+            if best is None or key < best[0]:
+                best = (key, sigma, lam)
+    key, sigma, lam = best
+    return sym.permute_state(state, sigma, lam), sigma, lam, len(keys), key
+
+
+BUNDLES = {
+    name: (registry.get(name), registry.get(name).build_table())
+    for name in ("smtp-bitvector", "msi")
+}
+
+oracle_configs = st.tuples(
+    st.integers(min_value=2, max_value=4),  # nodes
+    st.integers(min_value=1, max_value=2),  # lines
+    st.sampled_from(sorted(BUNDLES)),
+    st.integers(min_value=0, max_value=1),  # loads
+    st.integers(min_value=1, max_value=2),  # stores
+    st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=14),
+)
+
+
+class TestCanonicalizeOracle:
+    @given(cfg=oracle_configs)
+    @SETTINGS
+    def test_matches_brute_force_along_a_walk(self, cfg):
+        """Every state on a reachable walk canonicalizes exactly as the
+        brute-force definition does — same state, same (σ, λ), same
+        orbit size — both one-off and through one memo-sharing
+        Canonicalizer, as the checker runs it."""
+        n_nodes, n_lines, name, loads, stores, choices = cfg
+        bundle, table = BUNDLES[name]
+        canon = sym.Canonicalizer(n_nodes, n_lines)
+        state = initial_state(n_nodes, loads, stores, n_lines)
+        for c in [0] + choices:
+            want = brute_force_canonicalize(state)
+            got = canon(state)
+            assert got[0] == want[0]
+            assert got[1:4] == want[1:4]
+            assert got[4] == want[4] == sym.state_key(want[0])
+            assert sym.canonicalize(state) == want[:4]
+            succ = successors(state, LAYOUT, table, bundle=bundle)
+            if not succ:
+                break
+            state = succ[c % len(succ)][1]
 
 
 class TestAmpleSafety:
@@ -307,6 +370,43 @@ class TestDiskFrontier:
         assert (resumed.states, resumed.transitions, resumed.pruned) == (
             mem.states, mem.transitions, mem.pruned
         )
+
+    @given(cfg=reachable_configs)
+    @SETTINGS
+    def test_visited_digests_are_unchanged(self, cfg):
+        """Shard digests hash the key the Canonicalizer built, which
+        must be byte-identical to hashing a fresh ``state_key`` of the
+        canonical state."""
+        state = walk(*cfg)
+        canon, _, _, _, key = sym.Canonicalizer(cfg[0], cfg[1])(state)
+        want = hashlib.blake2b(
+            repr(sym.state_key(canon)).encode(), digest_size=16
+        ).digest()
+        assert frontier._key_digest(key) == want
+        assert frontier._digest(canon) == want
+
+    @pytest.mark.parametrize("cfg,want", [
+        ((2, 1, 1, 1), "2ab0bb073d4d1d7ef33ed172685652d9"),
+        ((3, 2, 0, 1), "8193f73da0a695bdad2c78381a450a86"),
+        ((4, 1, 0, 1), "cee3d309cfb4b1f3b82a0e0a50cf7f0c"),
+        ((4, 2, 1, 1), "4727b50a69543af23df06d072a9d02f9"),
+    ])
+    def test_visited_digest_bytes_are_pinned(self, cfg, want):
+        """Golden digests of the canonical states along a fixed walk
+        (nodes, lines, loads, stores), recorded from the state_key
+        serialization frontier directories have always been written
+        with.  Any change to the key's layout or repr breaks resume."""
+        n_nodes, n_lines, loads, stores = cfg
+        canon = sym.Canonicalizer(n_nodes, n_lines)
+        state = initial_state(n_nodes, loads, stores, n_lines)
+        h = hashlib.blake2b(digest_size=16)
+        for i in range(24):
+            h.update(frontier._key_digest(canon(state)[4]))
+            succ = successors(state, LAYOUT, TABLE)
+            if not succ:
+                break
+            state = succ[(i * 7) % len(succ)][1]
+        assert h.hexdigest() == want
 
     def test_finds_violations_on_disk_too(self, tmp_path):
         from test_analyze import broken_getx_table
