@@ -40,8 +40,9 @@ running it) but compiles everything around it:
 
 **Bit-identity contract.**  The interpreted classes stay in-tree as the
 executable specification; ``REPRO_APP_INTERP=1`` routes source
-construction back to :class:`ThreadProgram` *and* disables the core's
-fused fast path, and the differential tests in
+construction back to :class:`ThreadProgram` *and* keeps every core on
+the plain-scan :meth:`SMTCore.step` reference (the one core escape
+hatch), and the differential tests in
 ``tests/test_differential.py`` (plus the µop-stream round-trip property
 in ``tests/test_app_compile.py``) hold the two modes to identical
 :class:`MachineStats` and protocol traces across every machine model
@@ -65,27 +66,12 @@ from repro.isa.uop import Uop
 #: semantic change to compiled-mode emission or the core fast path.
 APP_COMPILER_VERSION = 1
 
-#: Version of the fused *multi-threaded* core step (``SMTCore._step_nt``
-#: and its satellite stage bodies in :mod:`repro.pipeline.core`).  Also
-#: folded into the sweep cache key and checkpoint payloads; bump on any
-#: semantic change to the fused SMT path.
-SMT_COMPILER_VERSION = 1
-
 
 def app_interp_forced() -> bool:
     """True when ``REPRO_APP_INTERP=1`` forces the reference
-    interpreter: :class:`ThreadProgram` sources and the per-µop
-    fetch/issue dispatch in :mod:`repro.pipeline.core`."""
+    interpreters: :class:`ThreadProgram` sources and the plain-scan
+    :meth:`SMTCore.step` for every core in :mod:`repro.pipeline.core`."""
     return os.environ.get("REPRO_APP_INTERP", "") == "1"
-
-
-def smt_interp_forced() -> bool:
-    """True when ``REPRO_SMT_INTERP=1`` forces multi-threaded cores
-    (SMTp app+protocol contexts and ways>=2 cells) back onto the
-    generic :meth:`SMTCore.step` reference instead of the fused
-    ``_step_nt`` path.  Single-thread cores are unaffected (they have
-    their own ``REPRO_APP_INTERP`` hatch)."""
-    return os.environ.get("REPRO_SMT_INTERP", "") == "1"
 
 
 # ----------------------------------------------------------------------

@@ -68,7 +68,6 @@ class ProcessorParams:
 
     # Front end.
     fetch_width: int = 8
-    fetch_threads_per_cycle: int = 2
     decode_queue_slots: int = 8
     rename_queue_slots: int = 8
     front_end_width: int = 8

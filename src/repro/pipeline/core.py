@@ -34,7 +34,7 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.apps.compile import app_interp_forced, smt_interp_forced
+from repro.apps.compile import app_interp_forced
 from repro.caches.hierarchy import BLOCKED, HIT, MISS
 from repro.common.params import ProcessorParams
 from repro.common.queues import DualQueue, ReservedPool
@@ -49,6 +49,8 @@ READ_STAGES = 2
 #: Synthetic wrong-path µop cap per mispredict (resource back-pressure
 #: throttles well before this).
 WRONG_PATH_CAP = 64
+#: Threads fetched per cycle: the "2" of ICOUNT(2,8).
+FETCH_THREADS = 2
 
 _EXEC_LATENCY = {
     UopKind.ALU: 1,
@@ -211,20 +213,20 @@ class SMTCore:
         self._sb_fifo: Dict[int, Deque[Uop]] = {
             t.tid: deque() for t in self.threads
         }
-        # Compiled fetch/issue fast path (repro.apps.compile).  The
-        # reference scan keeps every waiting µop in one list and
-        # re-tests n_wait/budgets per µop per cycle; the compiled path
-        # splits the window by *why* a µop is waiting — ready non-memory
-        # µops in per-side heaps keyed by IQ admission order (admitted
-        # by the rename unit's on_ready hook the moment their last
-        # source completes), memory µops in per-thread program-order
-        # FIFOs whose heads are the only possible issue candidates
-        # (mem_seq gating), prefetches in their own FIFO — so each
-        # issue cycle touches only actionable µops.  Bit-identical to
-        # _issue: candidates are processed in admission order, exactly
-        # the reference list order.  REPRO_APP_INTERP=1 restores the
-        # reference scan (and the per-µop fetch/decode loops).
-        self._fast = not app_interp_forced()
+        # Fused issue window (_step_1t / _step_nt).  The reference scan
+        # (_issue) keeps every waiting µop in one list and re-tests
+        # n_wait/budgets per µop per cycle; the fused paths split the
+        # window by *why* a µop is waiting — ready non-memory µops in
+        # per-side heaps keyed by IQ admission order (admitted by the
+        # rename unit's on_ready hook the moment their last source
+        # completes), memory µops in per-thread program-order FIFOs
+        # whose heads are the only possible issue candidates (mem_seq
+        # gating), prefetches in their own FIFO — so each issue cycle
+        # touches only actionable µops.  Bit-identical to _issue:
+        # candidates are processed in admission order, exactly the
+        # reference list order.  REPRO_APP_INTERP=1 keeps every core on
+        # the reference step() instead.
+        fused = not app_interp_forced()
         self._iq_pos = 0
         self._iqr: List[Tuple[int, Uop]] = []
         self._fqr: List[Tuple[int, Uop]] = []
@@ -238,7 +240,7 @@ class SMTCore:
         # stage can be skipped without losing the reference's
         # blocked-attempt recurrence (an attempt needs n_wait == 0).
         self._mem_ready = 0
-        if self._fast:
+        if fused:
             self.rename.on_ready = self._uop_ready
         # Rename-stall latch: nonzero when the rename-queue head
         # bounced off a full resource, coded by what blocked it —
@@ -246,7 +248,7 @@ class SMTCore:
         # 2 = window/register/LSQ/branch-stack (freed by retire or
         # squash).  Issue and squash clear the latch outright; retire
         # clears only code 2 (``&= 1``) since it frees no IQ slot.
-        # While latched, the fused step skips the per-cycle rename
+        # While latched, _step_1t skips the per-cycle rename
         # retry — the reference retries every cycle, but a retry
         # between two frees is a guaranteed failure, so skipping it
         # changes nothing.
@@ -274,20 +276,13 @@ class SMTCore:
         # issue pass allocates nothing.
         self._gated: List[Tuple[int, Uop]] = []
         self._use_1t = (
-            self._fast and len(self.threads) == 1 and self._t0.compiled_src
+            fused and len(self.threads) == 1 and self._t0.compiled_src
         )
-        # Fused multi-threaded path (_step_nt): SMTp cores (app +
-        # protocol contexts) and ways>=2 cells.  Requires the compiled
-        # app tier (the superblock fetch feeds it) and the standard
-        # ICOUNT(2,8) fetch (the inlined top-2 selection assumes two
-        # fetch slots).  REPRO_SMT_INTERP=1 keeps such cores on the
-        # generic step() reference.
-        self._use_nt = (
-            self._fast
-            and not smt_interp_forced()
-            and len(self.threads) >= 2
-            and self.pp.fetch_threads_per_cycle == 2
-        )
+        # Fused general path (_step_nt): every other core — SMTp cores
+        # (app + protocol contexts), ways>=2 cells, and one-context
+        # cores fed by an interpreted source or holding only the
+        # protocol thread.
+        self._use_nt = fused and not self._use_1t
         self._tproto = (
             self.threads[self.proto_tid] if self.proto_tid >= 0 else None
         )
@@ -476,6 +471,15 @@ class SMTCore:
 
     # ------------------------------------------------------------------
     def step(self) -> None:
+        """Advance the core one cycle.
+
+        Dispatches to the fused path chosen at construction —
+        :meth:`_step_1t` for one compiled application thread,
+        :meth:`_step_nt` for every other core — or, under
+        ``REPRO_APP_INTERP=1``, runs the plain-scan reference below:
+        the executable specification every fused path is
+        differentially tested against.
+        """
         if self._use_1t:
             self._step_1t()
             return
@@ -496,26 +500,9 @@ class SMTCore:
                 # the head waiting for traffic does not count.
                 self.node.stats.protocol.busy_cycles += 1
         self._commit()
-        # Empty-stage guards: a skipped stage call must still advance
-        # the section-priority parity its body would have toggled.
-        if self._fast:
-            if self._iqr or self._fqr or self._mem_ready:
-                self._issue_fast()
-        elif self.iq or self.fq:
-            self._issue()
-        rq = self.rename_q
-        if rq.proto or rq.app:
-            self._rename_stage()
-        else:
-            rq._proto_first = not rq._proto_first
-        dq = self.decode_q
-        if dq.proto or dq.app:
-            if self._fast:
-                self._decode_stage_fast()
-            else:
-                self._decode_stage()
-        else:
-            dq._proto_first = not dq._proto_first
+        self._issue()
+        self._rename_stage()
+        self._decode_stage()
         self._fetch()
 
     def _step_1t(self) -> None:
@@ -655,20 +642,22 @@ class SMTCore:
                 self._fetch_thread_fast(t, self._fetch_width)
 
     def _step_nt(self) -> None:
-        """:meth:`step`, fused for multi-threaded cores — SMTp cores
-        (application thread(s) + protocol thread) and ways>=2 cells.
+        """:meth:`step`, fused for every core :meth:`_step_1t` does not
+        take — SMTp cores (application thread(s) + protocol thread),
+        ways>=2 cells, and one-context cores fed by an interpreted
+        source or holding only the protocol thread.
 
-        Observationally identical to :meth:`step`: same stage order,
-        same per-cycle side effects (stall counters, section-priority
-        parity), same ``_worked``/``_unit_wake`` accounting.  The stage
-        bodies are the fused forms: :meth:`_commit_nt` (retire loop
-        with the app-side :meth:`_retire` inlined), :meth:`_issue_nt`
-        (:meth:`_issue_fast` with per-issue bookkeeping inlined), an
-        inline rename loop gated by *per-section* stall latches (the
-        two-section generalization of ``_rn_wait``), and
-        :meth:`_fetch_nt` (ICOUNT selection without the sort, fetching
-        through the superblock/compiled-PP fast loops).
-        ``REPRO_SMT_INTERP=1`` keeps such cores on :meth:`step`.
+        Observationally identical to the reference :meth:`step`: same
+        stage order, same per-cycle side effects (stall counters,
+        section-priority parity), same ``_worked``/``_unit_wake``
+        accounting.  The stage bodies are the fused forms:
+        :meth:`_commit_nt` (retire loop with the app-side
+        :meth:`_retire` inlined), :meth:`_issue_nt` (the ready-heap
+        issue window), an inline rename loop gated by *per-section*
+        stall latches (the two-section generalization of
+        ``_rn_wait``), and :meth:`_fetch_nt` (ICOUNT selection without
+        the sort, fetching through the superblock/compiled-PP fast
+        loops).
         """
         if self._ff_plan is not None:
             self.flush_idle_fixup()
@@ -722,7 +711,7 @@ class SMTCore:
         # -- decode ----------------------------------------------------
         dq = self.decode_q
         if dq.proto or dq.app:
-            self._decode_stage_fast()
+            self._decode_nt()
             # Decode may have freed decode-queue room: a fetch scan
             # latched on a full queue must re-run.
             self._fetch_idle = False
@@ -911,7 +900,6 @@ class SMTCore:
         else:
             return renamed
         # Resource bounce: latch the section (loop exited via break).
-        self._rn_wait = code
         if protocol:
             self._rn_wait_proto = code
         else:
@@ -1033,7 +1021,6 @@ class SMTCore:
                         # inlined with proto-side pool/register
                         # arithmetic (release is a plain decrement;
                         # sb acquire tracks the Table 9 peak).
-                        self._rn_wait &= 1
                         self._rn_wait_app &= 1
                         self._rn_wait_proto &= 1
                         kind = head.kind
@@ -1067,7 +1054,6 @@ class SMTCore:
                     else:
                         # App µop: _retire inlined (no commit-stage
                         # kinds, releases as plain app-side arithmetic).
-                        self._rn_wait &= 1
                         self._rn_wait_app &= 1
                         self._rn_wait_proto &= 1
                         kind = head.kind
@@ -1137,18 +1123,10 @@ class SMTCore:
         occupancy = len(dq.app) + len(dq.proto)
         app_room = occupancy < dq.capacity - dq.reserved
         proto_room = occupancy < dq.capacity
-        threads = self.threads
-        if len(threads) == 1:
-            # Single-thread cores (every non-SMTp model at ways=1):
-            # ICOUNT selection degenerates to one candidate test.
-            t = threads[0]
-            if (proto_room if t.protocol else app_room) and self._fetchable(t):
-                self._fetch_thread(t, self._fetch_width)
-            return
         fetchable = self._fetchable
         candidates = [
             t
-            for t in threads
+            for t in self.threads
             if (proto_room if t.protocol else app_room) and fetchable(t)
         ]
         if not candidates:
@@ -1156,14 +1134,12 @@ class SMTCore:
         if len(candidates) > 1:
             candidates.sort(key=lambda t: (t.icount, not t.protocol))
         budget = self._fetch_width
-        for t in candidates[: self.pp.fetch_threads_per_cycle]:
+        for t in candidates[:FETCH_THREADS]:
             if budget <= 0:
                 break
             budget = self._fetch_thread(t, budget)
 
     def _fetch_thread(self, t: ThreadContext, budget: int) -> int:
-        if self._fast and t.compiled_src and t.wrongpath_branch is None:
-            return self._fetch_thread_fast(t, budget)
         while budget > 0:
             if not self.decode_q.can_push(t.protocol):
                 break
@@ -1565,7 +1541,7 @@ class SMTCore:
         if moved:
             self._worked = True
 
-    def _decode_stage_fast(self) -> None:
+    def _decode_nt(self) -> None:
         """Bulk decode->rename move.
 
         Equivalent to :meth:`_decode_stage`: the per-µop ``can_push``
@@ -1755,27 +1731,21 @@ class SMTCore:
         commit_stage = uop.commit_stage
         # The issue-queue pool is by far the most frequent blocker, so
         # it is tested first (the checks are independent and pure).
-        # Every failure latches _rn_wait: until some resource frees,
-        # retrying this same head is pointless (see __init__).
         if not commit_stage:
             pool = self.fq_pool if uop.is_fp else self.iq_pool
             if pool.app_used + pool.proto_used >= (
                 pool.total if protocol else pool.total - pool.reserved
             ):
-                self._rn_wait = 1
                 return False
         if len(t.rob) >= self._active_list:
-            self._rn_wait = 2
             return False
         rn = self.rename
         dest = uop.dest
         if dest is not None:
             if dest >= FP_BASE:
                 if not rn._free_fp:
-                    self._rn_wait = 2
                     return False
             elif len(rn._free_int) <= (0 if protocol else rn.reserved_int):
-                self._rn_wait = 2
                 return False
         # SWITCH/LDCTXT are uncached loads: they hold LSQ slots until
         # they graduate (the paper's "switch stalls the head of the
@@ -1788,14 +1758,12 @@ class SMTCore:
             if lp.app_used + lp.proto_used >= (
                 lp.total if protocol else lp.total - lp.reserved
             ):
-                self._rn_wait = 2
                 return False
         if uop.is_branch:
             bp = self.bstack_pool
             if bp.app_used + bp.proto_used >= (
                 bp.total if protocol else bp.total - bp.reserved
             ):
-                self._rn_wait = 2
                 return False
 
         if uop.is_branch:
@@ -1811,28 +1779,7 @@ class SMTCore:
         t.rob.append(uop)
         if not commit_stage:
             pool.acquire(protocol)
-            if self._fast:
-                # Compiled issue path: route by wait reason instead of
-                # appending to the flat scan list.  iq_pos freezes the
-                # reference scan order (= admission order) so the
-                # heaps/FIFOs replay it exactly.
-                self._iq_pos += 1
-                uop.iq_pos = self._iq_pos
-                if uop.is_memory:
-                    if uop.kind is UopKind.PREFETCH:
-                        self._pf_fifo.append(uop)
-                    else:
-                        self._mem_fifo[uop.thread].append(uop)
-                    if not uop.n_wait:
-                        self._mem_ready += 1
-                elif not uop.n_wait:
-                    heappush(
-                        self._fqr if uop.is_fp else self._iqr,
-                        (self._iq_pos, uop),
-                    )
-                # else: admitted by _uop_ready when n_wait hits 0.
-            else:
-                (self.fq if uop.is_fp else self.iq).append(uop)
+            (self.fq if uop.is_fp else self.iq).append(uop)
         # Table 9 peaks are tracked by the pools / rename unit.
         return True
 
@@ -1922,152 +1869,8 @@ class SMTCore:
             return
         heappush(self._fqr if uop.is_fp else self._iqr, (uop.iq_pos, uop))
 
-    def _issue_fast(self) -> None:
-        """Compiled issue: process only actionable µops, in the exact
-        order the reference :meth:`_issue` scan would reach them.
-
-        Candidates and their order are fixed at entry: completions are
-        wheel-scheduled at least one cycle out and active-memory
-        requests are asynchronous, so nothing becomes ready mid-scan;
-        with one AGU a successful memory issue cannot enable a second
-        same-thread candidate within the cycle.  Memory candidates are
-        the per-thread FIFO heads (an older un-issued access always
-        blocks younger ones via ``mem_issue_next``) plus the oldest
-        prefetch; they interleave with the ready-heap µops by admission
-        order, mirroring the reference's single-list walk, and a
-        BLOCKED attempt leaves the head in place to retry — and mutate
-        hierarchy stats — every cycle, exactly like the kept-list scan.
-        """
-        cycle = self.cycle
-        threads = self.threads
-        # -- collect memory candidates --------------------------------
-        mem: List[Uop] = []
-        if self._mem_ready:
-            sb_fifo = self._sb_fifo
-            for tid, fifo in self._mem_fifo.items():
-                while fifo and fifo[0].squashed:
-                    if not fifo[0].n_wait:
-                        self._mem_ready -= 1
-                    fifo.popleft()
-                if not fifo:
-                    continue
-                head = fifo[0]
-                if head.n_wait:
-                    continue
-                t = threads[tid]
-                if head.mem_seq != t.mem_issue_next:
-                    continue
-                if head.kind is UopKind.ATOMIC and not (
-                    t.rob and t.rob[0] is head and not sb_fifo[tid]
-                ):
-                    continue
-                mem.append(head)
-            pf = self._pf_fifo
-            while pf and pf[0].squashed:
-                self._mem_ready -= 1  # prefetches are always ready
-                pf.popleft()
-            if pf:
-                mem.append(pf[0])
-            if len(mem) == 2:
-                if mem[0].iq_pos > mem[1].iq_pos:
-                    mem.reverse()
-            elif len(mem) > 2:
-                mem.sort(key=attrgetter("iq_pos"))
-        # -- integer + memory, merged in admission order ---------------
-        alu = 6
-        agu = 1
-        iqr = self._iqr
-        gated: List[Tuple[int, Uop]] = []
-        if not mem:
-            # Common case — no issuable memory head this cycle: a pure
-            # heap drain, no merge bookkeeping.
-            while alu > 0 and iqr:
-                pos, uop = heappop(iqr)
-                if uop.squashed:
-                    continue
-                if uop.kind is UopKind.DIV:
-                    if self.div_free_at > cycle:
-                        self._note_unit_wake(self.div_free_at)
-                        gated.append((pos, uop))
-                        continue
-                    self.div_free_at = cycle + self.pp.int_div_latency
-                alu -= 1
-                self._worked = True
-                uop.issued = True
-                threads[uop.thread].icount -= 1
-                self.iq_pool.release(uop.protocol)
-                self._schedule_complete(uop, self._latency_of(uop))
-        else:
-            inf = 1 << 62
-            mi = 0
-            mn = len(mem)
-            while True:
-                hpos = iqr[0][0] if (alu > 0 and iqr) else inf
-                mpos = mem[mi].iq_pos if (agu > 0 and mi < mn) else inf
-                if hpos <= mpos:
-                    if hpos == inf:
-                        break
-                    pos, uop = heappop(iqr)
-                    if uop.squashed:
-                        continue
-                    if uop.kind is UopKind.DIV:
-                        if self.div_free_at > cycle:
-                            # Unit busy: park outside the heap so the
-                            # scan moves past it, re-admit after.
-                            self._note_unit_wake(self.div_free_at)
-                            gated.append((pos, uop))
-                            continue
-                        self.div_free_at = cycle + self.pp.int_div_latency
-                    alu -= 1
-                    self._worked = True
-                    uop.issued = True
-                    threads[uop.thread].icount -= 1
-                    self.iq_pool.release(uop.protocol)
-                    self._schedule_complete(uop, self._latency_of(uop))
-                else:
-                    uop = mem[mi]
-                    mi += 1
-                    # Even a BLOCKED attempt records hierarchy stats, so
-                    # an issuable memory µop keeps the core awake.
-                    self._worked = True
-                    if self._issue_mem(uop):
-                        agu -= 1
-                        uop.issued = True
-                        threads[uop.thread].icount -= 1
-                        self.iq_pool.release(uop.protocol)
-                        if uop.kind is UopKind.PREFETCH:
-                            self._pf_fifo.popleft()
-                        else:
-                            self._mem_fifo[uop.thread].popleft()
-                        self._mem_ready -= 1  # an issued head was ready
-        for entry in gated:
-            heappush(iqr, entry)
-        # -- floating point -------------------------------------------
-        fpu = 3
-        fqr = self._fqr
-        if fqr:
-            del gated[:]
-            while fpu > 0 and fqr:
-                pos, uop = heappop(fqr)
-                if uop.squashed:
-                    continue
-                if uop.kind is UopKind.FDIV:
-                    if self.fdiv_free_at > cycle:
-                        self._note_unit_wake(self.fdiv_free_at)
-                        gated.append((pos, uop))
-                        continue
-                    self.fdiv_free_at = cycle + self.pp.fp_div_dp_latency
-                fpu -= 1
-                self._worked = True
-                uop.issued = True
-                threads[uop.thread].icount -= 1
-                self.fq_pool.release(uop.protocol)
-                self._schedule_complete(uop, self._latency_of(uop))
-            for entry in gated:
-                heappush(fqr, entry)
-
     def _issue_1t(self) -> None:
-        """:meth:`_issue_fast`, specialized for the fused one-app-thread
+        """:meth:`_issue_nt`, specialized for the fused one-app-thread
         core (:meth:`_step_1t`).
 
         The only possible memory candidates are this thread's FIFO head
@@ -2217,13 +2020,26 @@ class SMTCore:
                 del gated[:]
 
     def _issue_nt(self) -> None:
-        """:meth:`_issue_fast` with the per-issue bookkeeping inlined
-        for the fused multi-threaded core: completion scheduling as a
+        """Fused issue: process only actionable µops, in the exact
+        order the reference :meth:`_issue` scan would reach them.
+
+        Candidates and their order are fixed at entry: completions are
+        wheel-scheduled at least one cycle out and active-memory
+        requests are asynchronous, so nothing becomes ready mid-scan;
+        with one AGU a successful memory issue cannot enable a second
+        same-thread candidate within the cycle.  Memory candidates are
+        the per-thread FIFO heads (an older un-issued access always
+        blocks younger ones via ``mem_issue_next``) plus the oldest
+        prefetch; they interleave with the ready-heap µops by admission
+        order, mirroring the reference's single-list walk, and a
+        BLOCKED attempt leaves the head in place to retry — and mutate
+        hierarchy stats — every cycle, exactly like the kept-list scan.
+
+        Per-issue bookkeeping is inlined: completion scheduling as a
         direct wheel-heap push (:meth:`_schedule_complete` flattened),
         pool releases as plain used-counter arithmetic, and every issue
         clearing the rename-stall latches (an issue frees an IQ/FQ
-        slot, so a latched rename head may now succeed).  Candidate set
-        and order are exactly :meth:`_issue_fast`'s.
+        slot, so a latched rename head may now succeed).
         """
         cycle = self.cycle
         threads = self.threads
@@ -2287,7 +2103,6 @@ class SMTCore:
                     iq_pool.proto_used -= 1
                 else:
                     iq_pool.app_used -= 1
-                self._rn_wait = 0
                 self._rn_wait_app = 0
                 self._rn_wait_proto = 0
                 lat = (_LAT1[uop.kind] if uop.latency == 1
@@ -2326,7 +2141,6 @@ class SMTCore:
                         iq_pool.proto_used -= 1
                     else:
                         iq_pool.app_used -= 1
-                    self._rn_wait = 0
                     self._rn_wait_app = 0
                     self._rn_wait_proto = 0
                     lat = (_LAT1[uop.kind] if uop.latency == 1
@@ -2351,7 +2165,6 @@ class SMTCore:
                             iq_pool.proto_used -= 1
                         else:
                             iq_pool.app_used -= 1
-                        self._rn_wait = 0
                         self._rn_wait_app = 0
                         self._rn_wait_proto = 0
                         if uop.kind is UopKind.PREFETCH:
@@ -2386,7 +2199,6 @@ class SMTCore:
                     fq_pool.proto_used -= 1
                 else:
                     fq_pool.app_used -= 1
-                self._rn_wait = 0
                 self._rn_wait_app = 0
                 self._rn_wait_proto = 0
                 lat = (_LAT1[uop.kind] if uop.latency == 1

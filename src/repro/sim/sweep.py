@@ -143,9 +143,7 @@ class SweepCell:
     def _key_payload(self) -> Dict[str, object]:
         from repro.apps.compile import (
             APP_COMPILER_VERSION,
-            SMT_COMPILER_VERSION,
             app_interp_forced,
-            smt_interp_forced,
         )
         from repro.core.models import make_machine_params
         from repro.protocol.compile import COMPILER_VERSION, interp_forced
@@ -177,8 +175,6 @@ class SweepCell:
             "compiler": COMPILER_VERSION,
             "app_interp": app_interp_forced(),
             "app_compiler": APP_COMPILER_VERSION,
-            "smt_interp": smt_interp_forced(),
-            "smt_compiler": SMT_COMPILER_VERSION,
         }
 
     def cache_key(self) -> str:

@@ -377,7 +377,7 @@ def test_snapshot_restore_smtp_fast_path_all_bundles(monkeypatch):
     must rebuild its quiet-stage latches (``_cm_stall``/``_fetch_idle``
     are not snapshot state — they are caches that re-derive) and still
     land on the uninterrupted stats."""
-    monkeypatch.delenv("REPRO_SMT_INTERP", raising=False)
+    monkeypatch.delenv("REPRO_APP_INTERP", raising=False)
     for protocol in ("smtp-bitvector", "msi", "migratory"):
         spec = ck.make_spec("fft", "smtp", n_nodes=2, ways=2,
                             preset="tiny", protocol=protocol)
@@ -394,21 +394,21 @@ def test_snapshot_restore_smtp_fast_path_all_bundles(monkeypatch):
 
 def test_snapshot_restore_fast_path_matches_interp_mode(monkeypatch):
     """Four-way diff on a multi-way cell: straight/restored under the
-    fused path and under REPRO_SMT_INTERP=1 all agree."""
+    fused path and under the REPRO_APP_INTERP=1 reference all agree."""
     spec = ck.make_spec("water", "smtp", n_nodes=2, ways=2, preset="tiny")
     outcomes = {}
     for interp in (False, True):
         if interp:
-            monkeypatch.setenv("REPRO_SMT_INTERP", "1")
+            monkeypatch.setenv("REPRO_APP_INTERP", "1")
         else:
-            monkeypatch.delenv("REPRO_SMT_INTERP", raising=False)
+            monkeypatch.delenv("REPRO_APP_INTERP", raising=False)
         straight = _finish(ck.build_checkpointable(spec))
         m = ck.build_checkpointable(spec)
         m.run(1100)
         resumed = _finish(ck.restore(ck.snapshot(m)))
         outcomes[("straight", interp)] = straight
         outcomes[("resumed", interp)] = resumed
-    monkeypatch.delenv("REPRO_SMT_INTERP", raising=False)
+    monkeypatch.delenv("REPRO_APP_INTERP", raising=False)
     baseline = outcomes[("straight", False)]
     for key, stats in outcomes.items():
         assert stats == baseline, f"{key} diverged"

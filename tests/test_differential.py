@@ -24,6 +24,7 @@ Coverage comes from two directions:
 from __future__ import annotations
 
 from dataclasses import asdict
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -131,36 +132,54 @@ def test_event_vs_dense_run_app_multinode(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# App-tier compilation: interpreted KernelBuilder feed vs compiled
-# superblocks (REPRO_APP_INTERP=1 vs the default).
+# Compiled tiers vs the single reference: the default mode
+# (superblock-compiled app feed, fused ``_step_1t``/``_step_nt`` core
+# paths) vs REPRO_APP_INTERP=1 (interpreted KernelBuilder feed, the
+# plain-scan ``SMTCore.step()`` on every core).
 # ----------------------------------------------------------------------
 #
-# Unlike the dense/event differential above, the app compiler claims
-# *complete* equality — the compiled feed replays the same µop stream,
-# so every field of MachineStats (including ``skipped_cycles``) and the
-# protocol trace tail must match bit for bit.
+# Unlike the dense/event differential above, the compiled tiers claim
+# *complete* equality — the compiled feed replays the same µop stream
+# and the fused paths walk the same pipeline in a flattened order with
+# quiet-stage latches — so every field of MachineStats (including
+# ``skipped_cycles``: both modes run the same event-driven scheduler)
+# and the protocol trace tail must match bit for bit.
 
 from repro.sim.driver import run_machine  # noqa: E402
 from repro.sim.experiments import app_sources, preset_sizes  # noqa: E402
 
 APPS = ("water", "fft", "fftw", "lu", "ocean", "radix")
+PROTOCOLS = ("smtp-bitvector", "msi", "migratory")
 TRACE_TAIL = 512
 
 
-def _run_app_traced(app: str, model: str, n_nodes: int, interp: bool):
+def _run_traced(app: str, model: str, n_nodes: int, interp: bool,
+                ways: int = 1, protocol: str = "smtp-bitvector",
+                feed_interp: Optional[bool] = None):
+    """One tiny-preset cell: (stats dict, trace tail, machine).
+    ``interp`` selects the reference mode for both the app feed and the
+    cores; ``feed_interp`` overrides it for source construction alone."""
     import os
 
+    if feed_interp is None:
+        feed_interp = interp
+
+    def mode(on: bool) -> None:
+        if on:
+            os.environ["REPRO_APP_INTERP"] = "1"
+        else:
+            os.environ.pop("REPRO_APP_INTERP", None)
+
     old = os.environ.get("REPRO_APP_INTERP")
-    if interp:
-        os.environ["REPRO_APP_INTERP"] = "1"
-    else:
-        os.environ.pop("REPRO_APP_INTERP", None)
     try:
-        machine = build_machine(model, n_nodes=n_nodes)
+        machine = build_machine(model, n_nodes=n_nodes, ways=ways,
+                                protocol=protocol)
         tracer = ProtocolTracer(machine, ring=True, max_events=TRACE_TAIL)
+        mode(feed_interp)
         sources = app_sources(app, machine, dict(preset_sizes(app, "tiny")))
+        mode(interp)  # cores pick their path at install time
         stats = run_machine(machine, sources, max_cycles=30_000_000)
-        return stats.to_dict(), _trace_stream(tracer)
+        return stats.to_dict(), _trace_stream(tracer), machine
     finally:
         if old is None:
             os.environ.pop("REPRO_APP_INTERP", None)
@@ -168,17 +187,23 @@ def _run_app_traced(app: str, model: str, n_nodes: int, interp: bool):
             os.environ["REPRO_APP_INTERP"] = old
 
 
+def _assert_matches_reference(app: str, model: str, n_nodes: int,
+                              **kwargs) -> None:
+    ref_stats, ref_trace, _ = _run_traced(
+        app, model, n_nodes, interp=True, **kwargs)
+    stats, trace, _ = _run_traced(
+        app, model, n_nodes, interp=False, **kwargs)
+    cell = f"{app}/{model} n={n_nodes} {kwargs}"
+    assert stats == ref_stats, f"{cell}: stats diverge"
+    assert trace == ref_trace, f"{cell}: trace diverges"
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_interp_vs_compiled_all_apps(model):
-    """All six workloads, one model per test id: complete stats +
-    trace-tail bit-identity between the two app feeds."""
+    """All six workloads, one model per test id, 1-way: complete stats
+    + trace-tail bit-identity against the reference."""
     for app in APPS:
-        interp_stats, interp_trace = _run_app_traced(
-            app, model, n_nodes=1, interp=True)
-        compiled_stats, compiled_trace = _run_app_traced(
-            app, model, n_nodes=1, interp=False)
-        assert compiled_stats == interp_stats, f"{app}/{model}: stats diverge"
-        assert compiled_trace == interp_trace, f"{app}/{model}: trace diverges"
+        _assert_matches_reference(app, model, n_nodes=1)
 
 
 @settings(max_examples=8, deadline=None)
@@ -188,82 +213,27 @@ def test_interp_vs_compiled_all_apps(model):
     n_nodes=st.sampled_from((1, 2)),
 )
 def test_interp_vs_compiled_property(app, model, n_nodes):
-    """Random (app, model, nodes) cells: the compiled feed is
+    """Random 1-way (app, model, nodes) cells: the compiled tiers are
     observationally invisible, multi-node included."""
-    interp_stats, interp_trace = _run_app_traced(
-        app, model, n_nodes, interp=True)
-    compiled_stats, compiled_trace = _run_app_traced(
-        app, model, n_nodes, interp=False)
-    assert compiled_stats == interp_stats
-    assert compiled_trace == interp_trace
-
-
-# ----------------------------------------------------------------------
-# Fused multi-threaded fast path: ``_step_nt`` vs the generic
-# ``step()`` interpreter (REPRO_SMT_INTERP=1 vs the default).
-# ----------------------------------------------------------------------
-#
-# Like the app compiler, the fused SMT path claims *complete* equality:
-# it is the same pipeline walked in a flattened order with quiet-stage
-# latches, so every MachineStats field (``skipped_cycles`` included —
-# both modes run the same event-driven scheduler) and the protocol
-# trace tail must be bit-identical.  The path only engages on cores
-# with >=2 hardware threads (SMTp's app+protocol pair, or ways>=2
-# app-thread cells), so those are the configurations exercised here.
-
-PROTOCOLS = ("smtp-bitvector", "msi", "migratory")
-
-
-def _run_smt_traced(app: str, model: str, n_nodes: int, ways: int,
-                    protocol: str, interp: bool):
-    import os
-
-    old = os.environ.get("REPRO_SMT_INTERP")
-    if interp:
-        os.environ["REPRO_SMT_INTERP"] = "1"
-    else:
-        os.environ.pop("REPRO_SMT_INTERP", None)
-    try:
-        machine = build_machine(model, n_nodes=n_nodes, ways=ways,
-                                protocol=protocol)
-        tracer = ProtocolTracer(machine, ring=True, max_events=TRACE_TAIL)
-        sources = app_sources(app, machine, dict(preset_sizes(app, "tiny")))
-        stats = run_machine(machine, sources, max_cycles=30_000_000)
-        return stats.to_dict(), _trace_stream(tracer)
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_SMT_INTERP", None)
-        else:
-            os.environ["REPRO_SMT_INTERP"] = old
+    _assert_matches_reference(app, model, n_nodes)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_fused_vs_interp_smtp_all_bundles(protocol):
-    """SMTp 2-way cells under every registered coherence bundle: full
-    stats + trace-tail bit-identity between the fused path and the
-    generic interpreter."""
+    """SMTp 2-way cells under every registered coherence bundle: the
+    ``_step_nt`` path (two app threads + the protocol thread) against
+    the reference."""
     for app in ("fft", "water"):
-        interp_stats, interp_trace = _run_smt_traced(
-            app, "smtp", n_nodes=2, ways=2, protocol=protocol, interp=True)
-        fused_stats, fused_trace = _run_smt_traced(
-            app, "smtp", n_nodes=2, ways=2, protocol=protocol, interp=False)
-        assert fused_stats == interp_stats, \
-            f"{app}/{protocol}: stats diverge"
-        assert fused_trace == interp_trace, \
-            f"{app}/{protocol}: trace diverges"
+        _assert_matches_reference(app, "smtp", n_nodes=2, ways=2,
+                                  protocol=protocol)
 
 
 def test_fused_vs_interp_multiway_no_protocol_thread():
     """ways>=2 cells on a model *without* a protocol thread also take
-    the fused path (two app threads); same complete-equality claim."""
-    interp_stats, interp_trace = _run_smt_traced(
-        "ocean", "base", n_nodes=2, ways=2,
-        protocol="smtp-bitvector", interp=True)
-    fused_stats, fused_trace = _run_smt_traced(
-        "ocean", "base", n_nodes=2, ways=2,
-        protocol="smtp-bitvector", interp=False)
-    assert fused_stats == interp_stats
-    assert fused_trace == interp_trace
+    the fused path (two app threads on ``_step_nt``); same
+    complete-equality claim against the reference."""
+    _assert_matches_reference("ocean", "base", n_nodes=2, ways=2,
+                              protocol="smtp-bitvector")
 
 
 @settings(max_examples=6, deadline=None)
@@ -276,12 +246,81 @@ def test_fused_vs_interp_multiway_no_protocol_thread():
 def test_fused_vs_interp_property(app, model, protocol, n_nodes):
     """Random (app, model, bundle, nodes) 2-way cells: the fused path
     is observationally invisible wherever it engages."""
-    interp_stats, interp_trace = _run_smt_traced(
-        app, model, n_nodes, ways=2, protocol=protocol, interp=True)
-    fused_stats, fused_trace = _run_smt_traced(
-        app, model, n_nodes, ways=2, protocol=protocol, interp=False)
-    assert fused_stats == interp_stats
-    assert fused_trace == interp_trace
+    _assert_matches_reference(app, model, n_nodes, ways=2,
+                              protocol=protocol)
+
+
+# ----------------------------------------------------------------------
+# Core path selection: every core takes exactly one fused path by
+# default, and none under the reference.
+# ----------------------------------------------------------------------
+
+
+def _path_flags(interp: bool, monkeypatch) -> dict:
+    from repro.apps.program import KernelBuilder, ThreadProgram
+
+    def core_of(machine):
+        (core, *_) = machine._cores
+        return core
+
+    def idle(k):
+        k.alu()
+        yield
+
+    def apps(model, ways=1):
+        machine = build_machine(model, n_nodes=1, ways=ways)
+        machine.install_cores(
+            app_sources("fft", machine, dict(preset_sizes("fft", "tiny"))))
+        return core_of(machine)
+
+    if interp:
+        monkeypatch.setenv("REPRO_APP_INTERP", "1")
+    else:
+        monkeypatch.delenv("REPRO_APP_INTERP", raising=False)
+    fuzz = build_machine("smtp", n_nodes=2, **FUZZ_MACHINE_KWARGS)
+    install_idle_cores(fuzz)
+    proto_only = build_machine("smtp", n_nodes=1)
+    proto_only.install_cores([[]])
+    plain = build_machine("base", n_nodes=1)
+    plain.install_cores(
+        [[ThreadProgram(idle, KernelBuilder(0, 0x400000), plain.wheel)]])
+    cores = {
+        "1-way compiled": apps("base"),
+        "smtp 2-way": apps("smtp", ways=2),
+        "base 2-way": apps("base", ways=2),
+        "smtp fuzz": core_of(fuzz),
+        "smtp protocol-only": core_of(proto_only),
+        "base ThreadProgram": core_of(plain),
+    }
+    return {name: (c._use_1t, c._use_nt) for name, c in cores.items()}
+
+
+def test_core_path_selection_contract(monkeypatch):
+    """Default mode: exactly one of ``_use_1t``/``_use_nt`` per core,
+    ``_step_1t`` only for the one-compiled-thread core.  Reference mode
+    (REPRO_APP_INTERP=1): neither, so ``step()`` runs the plain scan."""
+    fused = _path_flags(interp=False, monkeypatch=monkeypatch)
+    for name, (use_1t, use_nt) in fused.items():
+        assert use_1t != use_nt, f"{name}: {use_1t=} {use_nt=}"
+    assert fused["1-way compiled"] == (True, False)
+    assert fused["base ThreadProgram"] == (False, True)
+    assert fused["smtp protocol-only"] == (False, True)
+    reference = _path_flags(interp=True, monkeypatch=monkeypatch)
+    assert all(flags == (False, False) for flags in reference.values()), \
+        reference
+
+
+def test_thread_program_core_on_step_nt_matches_reference():
+    """A one-thread core fed by an interpreted ``ThreadProgram`` on a
+    non-SMTp model runs ``_step_nt``: complete stats + trace tail
+    equal to the all-reference run."""
+    ref_stats, ref_trace, _ = _run_traced("fft", "base", 2, interp=True)
+    stats, trace, machine = _run_traced(
+        "fft", "base", 2, interp=False, feed_interp=True)
+    for core in machine._cores:
+        assert core._use_nt and not core._t0.compiled_src
+    assert stats == ref_stats
+    assert trace == ref_trace
 
 
 # ----------------------------------------------------------------------

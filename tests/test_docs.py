@@ -33,3 +33,20 @@ def test_env_flag_inventory_is_checked_both_ways():
             check_docs.ENV_RE.findall((check_docs.REPO / rel).read_text()))
     assert implemented <= documented, (
         f"undocumented env flags: {sorted(implemented - documented)}")
+
+
+def test_env_flags_count_only_string_literals_the_code_reads():
+    """A flag named only in a comment or docstring is not implemented
+    (so a doc still describing it fails the check); one read through
+    ``os.environ.get`` or a named constant is."""
+    source = (
+        '"""Module doc: REPRO_IN_DOCSTRING=1 would do something."""\n'
+        "import os\n"
+        "# REPRO_IN_COMMENT=1 used to select the old path.\n"
+        'ON = os.environ.get("REPRO_READ_DIRECTLY", "") == "1"\n'
+        'ENV = "REPRO_READ_VIA_CONSTANT"\n'
+        "VIA = os.environ.get(ENV)\n"
+        'MSG = f"set REPRO_IN_FSTRING=1 to {ENV}"\n'
+    )
+    assert check_docs.env_flags_read(source) == {
+        "REPRO_READ_DIRECTLY", "REPRO_READ_VIA_CONSTANT"}

@@ -21,7 +21,9 @@ The same two directions are enforced for ``REPRO_*`` environment
 flags (the execution-mode escape hatches and bench knobs):
 
 3. **No phantom env flags** — every ``REPRO_*`` token in a checked
-   doc must be read somewhere in ``src/`` or ``benchmarks/``.
+   doc must be read somewhere in ``src/`` or ``benchmarks/``: appear
+   there as a whole string literal (a mention in a comment or
+   docstring does not keep a removed flag alive).
 
 4. **No undocumented env flags** — every ``REPRO_*`` flag the code
    reads must be described in README.md or EXPERIMENTS.md.
@@ -44,6 +46,7 @@ fails tier-1.
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -116,12 +119,26 @@ def makefile_targets() -> set[str]:
     return targets - {".PHONY"}
 
 
+def env_flags_read(source: str) -> set[str]:
+    """The ``REPRO_*`` names ``source`` holds as whole string literals
+    — the keys code hands to ``os.environ``/``os.getenv``, directly or
+    through a named constant.  Comments are not in the AST and a
+    docstring is never just a flag name, so neither counts."""
+    return {
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and ENV_RE.fullmatch(node.value)
+    }
+
+
 def implemented_env_flags() -> set[str]:
-    """Every ``REPRO_*`` token the code actually reads."""
+    """Every ``REPRO_*`` flag the code actually reads."""
     flags: set[str] = set()
     for top in ENV_SOURCE_DIRS:
         for path in (REPO / top).rglob("*.py"):
-            flags |= set(ENV_RE.findall(path.read_text()))
+            flags |= env_flags_read(path.read_text())
     return flags
 
 
