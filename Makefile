@@ -118,12 +118,17 @@ fig8-smoke:
 docs-check:
 	PYTHONPATH=src $(PYTHON) tools/check_docs.py
 
-# Small seeded coherence-fuzzing campaign with fault injection
-# (delayed/reordered messages). Must exit 0: any failure writes a
-# replayable artifact under fuzz_artifacts/.
+# Small seeded coherence-fuzzing campaigns with fault injection
+# (delayed/reordered messages): the embedded-PP `base` model at n=2,
+# then the SMTp protocol-thread engine at n=4 across all sharing
+# patterns. Must exit 0: any failure writes a replayable artifact
+# under fuzz_artifacts/.
 fuzz-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --seeds 24 --faults on \
 		--jobs $(JOBS) --timeout 120 --name fuzz-smoke
+	PYTHONPATH=src $(PYTHON) -m repro fuzz --seeds 8 --faults on \
+		--model smtp --nodes 4 --sharing mix \
+		--jobs $(JOBS) --timeout 120 --name fuzz-smoke-smtp
 
 # Regenerate every paper table/figure (cache-warm after first run).
 bench:

@@ -179,6 +179,15 @@ class SetAssocCache:
                     line.invalidate()
 
     def contents(self) -> Dict[int, CacheState]:
+        """``{line address: state}`` for every valid line, in set/way
+        order.  One flat comprehension with the ``valid`` test and the
+        address computation inlined: the sanitizer's sweep calls this
+        on every node's L2 every ``sanitize_interval`` cycles."""
+        shift = self.line_shift
+        invalid = CacheState.INVALID
         return {
-            self.line_address_of(line): line.state for line in self.valid_lines()
+            line.tag << shift: line.state
+            for cache_set in self._sets
+            for line in cache_set
+            if line.state is not invalid
         }

@@ -7,7 +7,9 @@ every tick.
 
 Scheduling: :meth:`Machine.step` is the dense reference semantics —
 one call advances every component by exactly one cycle.  The run loops
-(:meth:`Machine.run` / :meth:`Machine.quiesce`) are event-driven on
+(:meth:`Machine.run` for application threads, :meth:`Machine.drive`
+for traffic fed from outside — fuzz op lists, and :meth:`quiesce` as
+the driver with nothing to issue) are event-driven on
 top of it: after each step every component reports whether it did (or
 was woken to do) any work; when the whole machine is quiescent the
 loop fast-forwards the clock to the next cycle at which anything *can*
@@ -18,8 +20,8 @@ side effects of the skipped idle polls analytically (stall-cycle
 accounting, round-robin rotation, arbitration-parity toggles), so the
 resulting statistics and traces are bit-identical to dense stepping.
 Skipped cycles are counted in ``Machine.skipped_cycles``.  Setting
-``REPRO_DENSE_STEP=1`` in the environment keeps the dense loops for
-differential testing.
+``REPRO_DENSE_STEP=1`` in the environment runs the loops on the dense
+:meth:`step` with no skipping, for differential testing.
 
 Forward progress is watched: if no instruction commits and no memory
 event fires for ``watchdog_cycles``, a :class:`DeadlockError` with a
@@ -40,6 +42,22 @@ from repro.network.fabric import Interconnect
 from repro.protocol.checker import CoherenceChecker
 from repro.protocol.directory import DirectoryLayout
 from repro.protocol import registry
+
+
+class _IdleTraffic:
+    """:meth:`Machine.drive`'s driver for :meth:`Machine.quiesce`:
+    nothing to issue, nothing outstanding."""
+
+    @staticmethod
+    def issue() -> bool:
+        return True
+
+    @staticmethod
+    def drained() -> bool:
+        return True
+
+
+_IDLE_TRAFFIC = _IdleTraffic()
 
 
 class Machine:
@@ -383,33 +401,62 @@ class Machine:
 
     def quiesce(self, max_cycles: int = 2_000_000) -> None:
         """Run until every in-flight transaction has drained."""
-        if self.dense_step:
-            for _ in range(max_cycles):
-                if not self.busy():
-                    return
-                self.step()
-        else:
-            if not self.busy():
-                return
-            deadline = self.cycle + max_cycles
-            try:
-                while self.cycle < deadline:
-                    self._event_step()
-                    # Unlike ``run``, the drained transition can be
-                    # purely controller/wheel-side (no core wake), so
-                    # re-check after every step to exit on the same
-                    # cycle as dense.
-                    if not self.busy():
-                        return
-                    if self.cycle < deadline:
-                        self._maybe_fast_forward(deadline)
-            finally:
-                for core in self._cores:
-                    core.flush_idle_fixup(through=True)
-        raise DeadlockError(
-            f"machine did not quiesce in {max_cycles} cycles\n"
-            + self._deadlock_report()
-        )
+        if not self.drive(_IDLE_TRAFFIC, max_cycles):
+            raise DeadlockError(
+                f"machine did not quiesce in {max_cycles} cycles\n"
+                + self._deadlock_report()
+            )
+
+    def drive(self, traffic, max_cycles: int) -> bool:
+        """Step the machine while ``traffic`` feeds it memory operations
+        from outside, until the traffic has drained and the machine is
+        idle (True) or ``max_cycles`` have passed (False).  Draining on
+        the deadline cycle itself counts as success.
+
+        ``traffic`` follows the *parked/awake* contract:
+
+        * ``issue()`` runs once per cycle boundary, before the finish
+          test.  It issues what it can and returns True when it is
+          parked: it cannot issue again until a miss it has in flight
+          completes (so calling it again would be a no-op): every op
+          issued, or its cap of misses in flight.  A driver holding an
+          op that was blocked (no MSHR) must retry it on the next
+          cycle and returns False: it is awake.
+        * ``drained()`` — everything issued and nothing outstanding.
+
+        The machine can only fast-forward while the driver is parked:
+        completions fire from the event wheel or a controller step,
+        both of which end a skip window, so the skipped boundaries
+        would only have repeated a no-op issue and a failed finish
+        test.  The finish test runs after each step and before any
+        skip.  ``REPRO_DENSE_STEP=1`` runs the same loop on the dense
+        :meth:`step` with no skipping.
+        """
+        skip = not self.dense_step
+        step = self._event_step if skip else self.step
+        busy = self.busy
+        deadline = self.cycle + max_cycles
+        # Skip only after an event step of this loop: the core wake
+        # flags it leaves are what _maybe_fast_forward reads.
+        stepped = False
+        try:
+            while True:
+                parked = traffic.issue()
+                if traffic.drained() and not busy():
+                    return True
+                if self.cycle >= deadline:
+                    return False
+                if parked and stepped:
+                    self._maybe_fast_forward(deadline)
+                    if self.cycle >= deadline:
+                        return False  # nothing fires on or before it
+                step()
+                stepped = skip
+        finally:
+            # Callers may read per-node stats directly: settle any
+            # batched idle fixups before handing control back.
+            for core in self._cores:
+                core.flush_idle_fixup(through=True)
 
     # ------------------------------------------------------------------
     # Idle-cycle fast-forward (the event-driven scheduler)

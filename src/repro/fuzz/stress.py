@@ -6,7 +6,8 @@ Two halves, deliberately decoupled:
   flat list of :class:`FuzzOp` records — pure function of its inputs,
   no machine state involved.
 * :func:`run_ops` plays any op list against a machine: issue in order,
-  cap outstanding misses, retry blocked issues, step until drained.
+  cap outstanding misses, retry blocked issues, run until drained on
+  the machine's event-driven scheduler (:meth:`Machine.drive`).
 
 Because the op list is data, a failing run's exact traffic can be
 serialized into an artifact, replayed bit-for-bit, and *shrunk* — the
@@ -170,6 +171,54 @@ def generate_ops(seed: int, cfg: StressConfig, n_nodes: int) -> List[FuzzOp]:
     return ops
 
 
+class _OpTraffic:
+    """:meth:`Machine.drive`'s driver for one op list: issue in order,
+    at most ``max_outstanding`` misses in flight, a blocked issue (no
+    MSHR) retried on the next cycle without reordering."""
+
+    def __init__(self, machine, ops: List[FuzzOp], max_outstanding: int):
+        self.hierarchies = [node.hierarchy for node in machine.nodes]
+        self.ops = ops
+        self.max_outstanding = max_outstanding
+        self.index = 0
+        self.issued = 0
+        self.outstanding = 0
+
+    def _complete(self, _value: int) -> None:
+        self.outstanding -= 1
+
+    def issue(self) -> bool:
+        """Issue what fits; True when parked (all issued, or the cap of
+        misses in flight), False when a blocked op must be retried."""
+        ops = self.ops
+        cb = self._complete
+        while self.index < len(ops) and self.outstanding < self.max_outstanding:
+            op = ops[self.index]
+            h = self.hierarchies[op.node]
+            if op.kind == "load":
+                r = h.load(op.addr, False, cb)
+            elif op.kind == "store":
+                r = h.store(op.addr, False, op.arg, cb)
+            elif op.kind == "atomic":
+                r = h.atomic(op.addr, op.sub, op.arg, cb)
+            elif op.kind == "prefetch":
+                h.prefetch(op.addr, exclusive=bool(op.arg))
+                self.index += 1
+                continue
+            else:
+                raise ConfigError(f"unknown fuzz op kind {op.kind!r}")
+            if r[0] == "blocked":
+                return False  # retry the same op on the next cycle
+            self.index += 1
+            self.issued += 1
+            if r[0] == "miss":
+                self.outstanding += 1
+        return True
+
+    def drained(self) -> bool:
+        return self.index >= len(self.ops) and self.outstanding == 0
+
+
 def run_ops(
     machine,
     ops: List[FuzzOp],
@@ -182,48 +231,14 @@ def run_ops(
     (no MSHR) is retried on a later cycle without reordering.  Raises
     :class:`DeadlockError` if the traffic does not complete within
     ``max_cycles``; any sanitizer/checker violation propagates from
-    inside :meth:`machine.step`.
+    inside the machine's step.
     """
-    outstanding = [0]
-    issued = [0]
-    index = [0]
-
-    def cb(_value: int) -> None:
-        outstanding[0] -= 1
-
-    def maybe_issue() -> None:
-        while index[0] < len(ops) and outstanding[0] < max_outstanding:
-            op = ops[index[0]]
-            h = machine.nodes[op.node].hierarchy
-            if op.kind == "load":
-                r = h.load(op.addr, False, cb)
-            elif op.kind == "store":
-                r = h.store(op.addr, False, op.arg, cb)
-            elif op.kind == "atomic":
-                r = h.atomic(op.addr, op.sub, op.arg, cb)
-            elif op.kind == "prefetch":
-                h.prefetch(op.addr, exclusive=bool(op.arg))
-                index[0] += 1
-                continue
-            else:
-                raise ConfigError(f"unknown fuzz op kind {op.kind!r}")
-            if r[0] == "blocked":
-                return  # retry the same op on a later cycle
-            index[0] += 1
-            issued[0] += 1
-            if r[0] == "miss":
-                outstanding[0] += 1
-
-    for _ in range(max_cycles):
-        maybe_issue()
-        if index[0] >= len(ops) and outstanding[0] == 0 and not machine.busy():
-            break
-        machine.step()
-    else:
+    traffic = _OpTraffic(machine, ops, max_outstanding)
+    if not machine.drive(traffic, max_cycles):
         raise DeadlockError(
             f"fuzz traffic incomplete after {max_cycles} cycles: "
-            f"{outstanding[0]} outstanding, {len(ops) - index[0]} unissued\n"
+            f"{traffic.outstanding} outstanding, "
+            f"{len(ops) - traffic.index} unissued\n"
             + machine._deadlock_report()
         )
-    machine.quiesce()
-    return {"issued": issued[0], "cycles": machine.cycle}
+    return {"issued": traffic.issued, "cycles": machine.cycle}

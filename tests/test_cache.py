@@ -137,3 +137,34 @@ def test_lru_matches_reference_model(addresses):
             assert victim is not None
             c.install(addr, CacheState.SHARED)
         assert hit == ref.access(addr)
+
+
+_STATES = (CacheState.SHARED, CacheState.EXCLUSIVE, CacheState.MODIFIED)
+
+
+@settings(max_examples=60)
+@given(st.lists(
+    st.tuples(st.sampled_from(("install", "invalidate", "downgrade")),
+              st.integers(0, 95), st.sampled_from(_STATES)),
+    min_size=1, max_size=200,
+))
+def test_contents_matches_valid_lines_oracle(steps):
+    """``contents()`` equals the per-line oracle built from
+    ``valid_lines()``, key order included, after random install,
+    invalidate and downgrade sequences."""
+    c = make_cache(size=512, line=32, assoc=4)  # 4 sets x 4 ways
+    for op, a, state in steps:
+        addr = a * 16
+        if op == "install":
+            if c.lookup(addr) is None and c.victim(addr) is not None:
+                c.install(addr, state)
+        elif op == "invalidate":
+            c.invalidate(addr)
+        else:
+            line = c.lookup(addr)
+            if line is not None:
+                line.state = CacheState.SHARED
+        got = c.contents()
+        want = {c.line_address_of(l): l.state for l in c.valid_lines()}
+        assert got == want
+        assert list(got) == list(want)

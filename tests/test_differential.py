@@ -1,21 +1,30 @@
 """Differential testing: event-driven scheduling vs dense polling.
 
-The event-driven scheduler (PR "Event-driven core scheduling") must be
-an *observationally invisible* optimisation: every statistic and every
-protocol trace event must come out bit-identical to the dense
-per-cycle polling reference (``REPRO_DENSE_STEP=1``).  These tests run
-the same workload twice — once per mode — and diff:
+The event-driven scheduler must be an *observationally invisible*
+optimisation: every statistic and every protocol trace event must come
+out bit-identical to the dense per-cycle polling reference
+(``REPRO_DENSE_STEP=1``).  These tests run the same workload twice —
+once per mode — and diff:
 
 * ``Machine.collect_stats().to_dict()`` (minus ``skipped_cycles``,
-  which is the event mode's own bookkeeping and is 0 under dense), and
+  which is the event mode's own bookkeeping and is 0 under dense),
 * the full :class:`~repro.sim.trace.ProtocolTracer` event stream
-  (cycle, node, kind, addr, detail for every coherence event).
+  (cycle, node, kind, addr, detail for every coherence event), and,
+  on sanitized fuzz machines, the sanitizer's report and the final
+  cycle.
 
-Coverage comes from two directions:
+Coverage comes from four directions:
 
 * a hypothesis property over random fuzz-stress op lists (seed,
   sharing pattern, model, node count all drawn), exercising
-  ``run_ops`` + the event-mode ``quiesce`` drain, and
+  ``run_ops`` on the event-driven ``Machine.drive`` loop, which skips
+  idle cycles while the op driver is parked,
+* the ``verify`` benchmark's fuzz shapes (4 nodes, base and SMTp,
+  ``uniform`` and ``migratory``, faults on), traffic that keeps
+  blocking on MSHRs, and a seeded-bug failure whose error, cycle,
+  artifact snapshot and trace tail must match,
+* the shared deadline rule of ``quiesce``/``run_ops`` (draining on the
+  last budgeted cycle succeeds in both modes), and
 * full ``run_app`` runs of the tiny preset across all five Table 4
   machine models, exercising the event-mode ``run`` loop end to end
   (idle-cycle fast-forward, per-core skip, all_done gating).
@@ -95,6 +104,171 @@ def test_event_vs_dense_on_random_traffic(seed, model, sharing, n_nodes,
     assert dense_m.skipped_cycles == 0
     assert event_stats == dense_stats
     assert event_trace == dense_trace
+
+
+# ----------------------------------------------------------------------
+# The verify benchmark's fuzz shapes: 4 nodes, faults on, sanitized.
+# ----------------------------------------------------------------------
+
+
+def _verify_cell(model: str, sharing: str):
+    from repro.fuzz.campaign import FuzzCell
+    from repro.fuzz.faults import PRESETS
+
+    return FuzzCell(seed=1, model=model, n_nodes=4,
+                    stress=StressConfig(sharing=sharing),
+                    faults=PRESETS["on"])
+
+
+def _set_dense(monkeypatch, dense: bool) -> None:
+    if dense:
+        monkeypatch.setenv("REPRO_DENSE_STEP", "1")
+    else:
+        monkeypatch.delenv("REPRO_DENSE_STEP", raising=False)
+
+
+@pytest.mark.parametrize("sharing", ("uniform", "migratory"))
+@pytest.mark.parametrize("model", ("base", "smtp"))
+def test_event_vs_dense_verify_shapes(model, sharing, monkeypatch):
+    """A ``verify`` fuzz cell in both modes: same stats, trace stream,
+    final cycle and sanitizer report; event mode skips cycles."""
+    from repro.fuzz.campaign import build_fuzz_machine
+
+    cell = _verify_cell(model, sharing)
+    ops = generate_ops(cell.seed, cell.stress, cell.n_nodes)
+
+    def run(dense: bool):
+        _set_dense(monkeypatch, dense)
+        machine = build_fuzz_machine(cell)
+        tracer = ProtocolTracer(machine)
+        run_ops(machine, ops, max_outstanding=cell.stress.max_outstanding)
+        machine.final_checks()
+        return machine, tracer
+
+    dense_m, dense_t = run(dense=True)
+    event_m, event_t = run(dense=False)
+    assert dense_m.skipped_cycles == 0
+    assert event_m.skipped_cycles > 0, "parked driver should skip cycles"
+    assert event_m.cycle == dense_m.cycle
+    assert _comparable(event_m.collect_stats()) == \
+        _comparable(dense_m.collect_stats())
+    assert _trace_stream(event_t) == _trace_stream(dense_t)
+    assert event_m.sanitizer.report() == dense_m.sanitizer.report()
+    assert event_m.sanitizer.report()["sweeps"] > 0
+
+
+@pytest.mark.parametrize("model", ("base", "smtp"))
+def test_event_vs_dense_blocked_retries(model, monkeypatch):
+    """More misses allowed in flight than the node has MSHRs: the op
+    driver keeps retrying a blocked op, and every retry records cache
+    stats, so skipping while it is awake (not parked) would diverge."""
+    from repro.fuzz import stress
+
+    blocked = [0]
+    issue = stress._OpTraffic.issue
+
+    def counting_issue(self):
+        parked = issue(self)
+        blocked[0] += not parked
+        return parked
+
+    monkeypatch.setattr(stress._OpTraffic, "issue", counting_issue)
+    cfg = StressConfig(n_ops=200, n_lines=64, hot_fraction=0.0)
+    ops = generate_ops(5, cfg, 1)
+    dense_stats, dense_trace, _ = _run_stress(model, 1, ops, 64, dense=True)
+    assert blocked[0] > 0, "traffic never blocked on MSHRs"
+    event_stats, event_trace, event_m = _run_stress(
+        model, 1, ops, 64, dense=False)
+    assert event_m.skipped_cycles > 0
+    assert event_stats == dense_stats
+    assert event_trace == dense_trace
+
+
+@pytest.mark.parametrize("model,n_nodes,faults,n_ops", [
+    ("smtp", 4, "on", 300),
+    ("base", 2, "off", 120),
+])
+def test_failure_parity_under_seeded_bug(model, n_nodes, faults, n_ops,
+                                         monkeypatch):
+    """Under a seeded protocol bug the first failing seed fails the
+    same way in both modes: status, first error line, failure cycle,
+    artifact snapshot and trace tail."""
+    from repro.fuzz.artifact import machine_snapshot
+    from repro.fuzz.campaign import FuzzCell, execute, status_of
+    from repro.fuzz.faults import PRESETS
+    from tests.test_fuzz import install_dropped_inval_bug
+
+    install_dropped_inval_bug(monkeypatch)
+
+    def outcome(cell, dense: bool):
+        _set_dense(monkeypatch, dense)
+        ops = generate_ops(cell.seed, cell.stress, cell.n_nodes)
+        exc, machine, tracer = execute(cell, ops, collect_trace=True)
+        if exc is None:
+            return None
+        return (status_of(exc), str(exc).splitlines()[0], machine.cycle,
+                machine_snapshot(machine), tracer.to_dicts())
+
+    for seed in range(20):
+        cell = FuzzCell(seed=seed, model=model, n_nodes=n_nodes,
+                        stress=StressConfig(n_ops=n_ops),
+                        faults=PRESETS[faults])
+        event = outcome(cell, dense=False)
+        if event is not None:
+            break
+    else:
+        raise AssertionError("seeded bug never detected in 20 seeds")
+    assert outcome(cell, dense=True) == event
+
+
+# ----------------------------------------------------------------------
+# Deadlines: draining on the last budgeted cycle succeeds in both modes.
+# ----------------------------------------------------------------------
+
+
+def _six_loads_machine(dense: bool):
+    """A base n=1 fuzz machine with six load misses in flight."""
+    machine = _build_stress_machine("base", 1, dense)
+    loads = [op for op in generate_ops(0, StressConfig(n_ops=20), 1)
+             if op.kind == "load"][:6]
+    for op in loads:
+        r = machine.nodes[op.node].hierarchy.load(op.addr, False,
+                                                  lambda _v: None)
+        assert r[0] == "miss"
+    return machine
+
+
+@pytest.mark.parametrize("dense", (True, False))
+def test_quiesce_deadline_boundary(dense):
+    from repro.common.errors import DeadlockError
+
+    probe = _six_loads_machine(dense)
+    probe.quiesce()
+    need = probe.cycle
+    for budget in (need - 1, need, need + 1):
+        machine = _six_loads_machine(dense)
+        if budget < need:
+            with pytest.raises(DeadlockError, match="did not quiesce"):
+                machine.quiesce(budget)
+        else:
+            machine.quiesce(budget)
+            assert machine.cycle == need
+            assert not machine.busy()
+
+
+@pytest.mark.parametrize("dense", (True, False))
+def test_run_ops_deadline_boundary(dense):
+    from repro.common.errors import DeadlockError
+
+    ops = generate_ops(3, StressConfig(n_ops=40), 2)
+    need = run_ops(_build_stress_machine("base", 2, dense), ops)["cycles"]
+    for budget in (need - 1, need, need + 1):
+        machine = _build_stress_machine("base", 2, dense)
+        if budget < need:
+            with pytest.raises(DeadlockError, match="incomplete after"):
+                run_ops(machine, ops, max_cycles=budget)
+        else:
+            assert run_ops(machine, ops, max_cycles=budget)["cycles"] == need
 
 
 # ----------------------------------------------------------------------
