@@ -435,7 +435,8 @@ def main(argv=None) -> int:
     run_p.add_argument("--freq", type=float, default=2.0, help="GHz")
     run_p.add_argument("--preset", choices=tuple(PRESETS), default="bench")
     run_p.add_argument("--check", action="store_true",
-                       help="run the coherence invariant checker")
+                       help="check every committed store and audit every "
+                       "line at the end against the coherence invariants")
     run_p.add_argument("-v", "--verbose", action="store_true")
     run_p.set_defaults(fn=_cmd_run)
 

@@ -28,22 +28,15 @@ Deep configurations additionally run against a disk-backed frontier
 (:mod:`repro.analyze.frontier`) sharded over ``sim.sweep.pool_map``
 workers, kill-resumable via the PR 6 ledger machinery.
 
-Invariants (the same ones :mod:`repro.fuzz.sanitizer` checks online):
+Invariants: the :mod:`repro.protocol.invariants` predicates, the same
+ones the sanitizer evaluates on the full simulator — ``check_entry``
+and ``check_swmr`` after every transition, ``check_store`` at every
+committed store, ``check_quiescent_line`` once nothing is in flight —
+plus two the model adds:
 
-* **SWMR** — at most one *writable* (EXCLUSIVE/MODIFIED) copy of a
-  line ever exists.  Stale SHARED copies transiently coexisting with
-  a writable copy are the protocol's documented eager-exclusive
-  relaxation and are allowed.
-* **Data value** — the k-th store to a line machine-wide leaves the
-  owning copy at version k; a store landing on a stale base is a
-  lost update.
-* **No stuck states** — an MSHR with no message in flight anywhere
-  can never complete: deadlock.
-* **Directory health** — entries always decode to a legal state with
-  in-range owner/waiter/sharers, and at quiescence the directory
-  agrees with the caches (owner recorded iff a writable copy exists,
-  no BUSY leftovers, no lost updates).
-* **No traps** — a reachable TRAP is a protocol violation by
+* **No stuck states** (``stuck``) — an MSHR with no message in flight
+  anywhere can never complete: deadlock.
+* **No traps** (``trap``) — a reachable TRAP is a protocol violation by
   definition.
 
 Counterexamples serialize through :mod:`repro.fuzz.artifact` (the
@@ -70,6 +63,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.common.errors import ConfigError, ProtocolError
 from repro.network.messages import Message, MsgType, virtual_network
 from repro.protocol import directory as d
+from repro.protocol import invariants as inv
 from repro.protocol.directory import DirectoryLayout
 from repro.protocol.handlers import (
     boot_registers,
@@ -607,27 +601,23 @@ class _Sim:
 
     def _commit_store(self, node_id: int, line: int) -> None:
         node = self.nodes[node_id]
-        for other_id, other in enumerate(self.nodes):
-            if other_id != node_id and other["caches"][line] in ("E", "M"):
-                raise ModelViolation(
-                    "swmr",
-                    f"store at node {node_id} while node {other_id} also "
-                    f"holds a writable copy of L{line}",
-                )
-        if node["caches"][line] not in ("E", "M"):
-            raise ModelViolation(
-                "store-no-copy",
-                f"node {node_id} committed a store without a writable copy",
-            )
-        self.counts[line] += 1
-        node["versions"][line] += 1
+        count = self.counts[line] + 1
+        version = node["versions"][line] + 1
+        failure = inv.check_store(
+            node_id,
+            node["caches"][line] in ("E", "M"),
+            version,
+            count,
+            [
+                other_id for other_id, other in enumerate(self.nodes)
+                if other_id != node_id and other["caches"][line] in ("E", "M")
+            ],
+        )
+        if failure is not None:
+            raise _violation(failure, line)
+        self.counts[line] = count
+        node["versions"][line] = version
         node["caches"][line] = "M"
-        if node["versions"][line] != self.counts[line]:
-            raise ModelViolation(
-                "data-value",
-                f"store #{self.counts[line]} to L{line} left version "
-                f"{node['versions'][line]}: the store landed on a stale copy",
-            )
 
     def issue_load(self, node_id: int, line: int) -> None:
         node = self.nodes[node_id]
@@ -685,47 +675,34 @@ class _Sim:
 # ----------------------------------------------------------------------
 
 
-def check_state(st: MState, n_nodes: int) -> None:
-    """Raise ModelViolation if ``st`` breaks a global invariant."""
-    n_lines = len(st.entries)
-    for line in range(n_lines):
-        entry = st.entries[line]
-        state = d.state_of(entry)
-        if state not in (
-            d.UNOWNED, d.SHARED, d.EXCLUSIVE, d.BUSY_SHARED, d.BUSY_EXCLUSIVE
-        ):
-            raise ModelViolation(
-                "bad-directory",
-                f"L{line} directory entry decodes to state {state}",
-            )
-        if state in (d.EXCLUSIVE, d.BUSY_SHARED, d.BUSY_EXCLUSIVE):
-            if d.owner_of(entry) >= n_nodes:
-                raise ModelViolation(
-                    "bad-directory",
-                    f"L{line} owner {d.owner_of(entry)} out of range",
-                )
-        if state == d.SHARED and d.vector_of(entry) >> n_nodes:
-            raise ModelViolation(
-                "bad-directory",
-                f"L{line} sharer vector {d.vector_of(entry):#x} names "
-                "absent nodes",
-            )
-        writable = [
-            i for i, n in enumerate(st.nodes) if n.caches[line] in ("E", "M")
-        ]
-        if len(writable) > 1:
-            raise ModelViolation(
-                "swmr",
-                f"nodes {writable} hold writable copies of L{line} "
-                "simultaneously",
-            )
-
-    in_flight = (
-        any(st.chans)
-        or any(n.lmi or n.probes for n in st.nodes)
+def _violation(failure: inv.Failure, line: int) -> ModelViolation:
+    code, message = failure
+    return ModelViolation(
+        code, f"L{line}: {message}",
+        status="deadlock" if code == "stuck-directory" else "violation",
     )
+
+
+def check_state(st: MState, n_nodes: int) -> None:
+    """Raise ModelViolation if ``st`` breaks an invariant: the
+    :mod:`repro.protocol.invariants` predicates on every line (the
+    quiescent one once nothing is in flight), plus the model's own
+    ``stuck`` liveness test."""
+    nodes = st.nodes
+    writers = [
+        [i for i, n in enumerate(nodes) if n.caches[line] in ("E", "M")]
+        for line in range(len(st.entries))
+    ]
+    for line, entry in enumerate(st.entries):
+        failure = inv.check_entry(entry, n_nodes) or inv.check_swmr(
+            writers[line]
+        )
+        if failure is not None:
+            raise _violation(failure, line)
+
+    in_flight = any(st.chans) or any(n.lmi or n.probes for n in nodes)
     waiting = [
-        i for i, n in enumerate(st.nodes)
+        i for i, n in enumerate(nodes)
         if any(m is not None for m in n.mshrs)
         or any(
             wb and m is None for wb, m in zip(n.wb_pending, n.mshrs)
@@ -738,53 +715,20 @@ def check_state(st: MState, n_nodes: int) -> None:
             "is in flight anywhere: the transaction can never complete",
             status="deadlock",
         )
-    if not in_flight and not waiting:
-        for line in range(n_lines):
-            _check_quiescent_line(st, line)
-
-
-def _check_quiescent_line(st: MState, line: int) -> None:
-    entry = st.entries[line]
-    state = d.state_of(entry)
-    writable = [
-        i for i, n in enumerate(st.nodes) if n.caches[line] in ("E", "M")
-    ]
-    if state in (d.BUSY_SHARED, d.BUSY_EXCLUSIVE):
-        raise ModelViolation(
-            "stuck-directory",
-            f"quiescent machine left L{line}'s directory BUSY: a "
-            "transaction evaporated without resolving",
-            status="deadlock",
+    if in_flight or waiting:
+        return
+    for line, entry in enumerate(st.entries):
+        owners = writers[line]
+        failure = inv.check_quiescent_line(
+            entry,
+            owners,
+            [i for i, n in enumerate(nodes) if n.caches[line] == "S"],
+            nodes[owners[0]].versions[line] if owners else 0,
+            st.mems[line],
+            st.counts[line],
         )
-    if writable:
-        owner = writable[0]
-        if state != d.EXCLUSIVE or d.owner_of(entry) != owner:
-            raise ModelViolation(
-                "dir-cache-mismatch",
-                f"node {owner} holds a writable copy of L{line} but the "
-                f"directory says {d.describe(entry)}",
-            )
-        if st.nodes[owner].versions[line] != st.counts[line]:
-            raise ModelViolation(
-                "data-value",
-                f"quiescent owner copy of L{line} at version "
-                f"{st.nodes[owner].versions[line]}, {st.counts[line]} "
-                "stores committed",
-            )
-    else:
-        if state == d.EXCLUSIVE:
-            raise ModelViolation(
-                "dir-cache-mismatch",
-                f"directory says {d.describe(entry)} for L{line} but no "
-                "writable copy exists",
-            )
-        if st.mems[line] != st.counts[line]:
-            raise ModelViolation(
-                "data-value",
-                f"quiescent memory for L{line} at version "
-                f"{st.mems[line]}, {st.counts[line]} stores committed: "
-                "updates were lost",
-            )
+        if failure is not None:
+            raise _violation(failure, line)
 
 
 # ----------------------------------------------------------------------

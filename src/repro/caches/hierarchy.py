@@ -20,7 +20,7 @@ Responsibilities
 Data model
 ----------
 Application data is modelled as a per-line *version* (bumped by every
-store; the coherence checker uses it to detect lost updates) plus a
+store; the coherence sanitizer uses it to detect lost updates) plus a
 global functional word store used by synchronization values.  Stores
 only execute once ownership is held, so functional word visibility
 follows coherence-ordered timing (see DESIGN.md on eager-exclusive).
@@ -177,7 +177,7 @@ class CacheHierarchy:
         # Functional word store (shared machine-wide).
         self.read_word: Callable[[int], int] = _zero_word
         self.write_word: Callable[[int, int], None] = _discard
-        # Observer hook for the coherence checker.
+        # Observer hook for the coherence sanitizer (one per hierarchy).
         self.on_store: Callable[[int], None] = _discard
 
     # ------------------------------------------------------------------
@@ -507,20 +507,8 @@ class CacheHierarchy:
         self._maybe_complete(entry, dirty=False)
 
     # ------------------------------------------------------------------
-    # Checker / teardown helpers
+    # Sanitizer helpers
     # ------------------------------------------------------------------
-
-    def flush_to_memory(self, memory_sink: Callable[[int, int], None]) -> None:
-        """Drain every dirty/exclusive application line into memory.
-
-        Used by the coherence checker's end-of-run audit.
-        """
-        for line in list(self.l2.valid_lines()):
-            la = self.l2.line_address_of(line)
-            if is_protocol_space(la) or la & ICODE_SPACE_BIT:
-                continue
-            if line.state.writable:
-                memory_sink(la, line.version)
 
     def cached_app_lines(self) -> Dict[int, CacheState]:
         return {

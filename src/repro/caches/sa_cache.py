@@ -2,7 +2,7 @@
 
 One class serves L1I, L1D, L2 and the direct-mapped directory/protocol
 caches (associativity 1).  Lines carry a coherence state, a dirty bit,
-a data *version* token (used by the coherence checker to detect lost
+a data *version* token (used by the coherence sanitizer to detect lost
 updates), and the class of the requester that allocated them
 (application vs protocol) so cache-pollution effects are measurable.
 """
@@ -160,7 +160,7 @@ class SetAssocCache:
         line.invalidate()
         return snapshot
 
-    # -- iteration (checker / flush) --------------------------------------
+    # -- iteration -----------------------------------------------------------
     def valid_lines(self) -> Iterator[CacheLine]:
         for cache_set in self._sets:
             for line in cache_set:

@@ -5,6 +5,8 @@ without a debugger: the simulators attach cycle counts and node ids to
 the message at the raise site.
 """
 
+from typing import Optional
+
 
 class SimulationError(Exception):
     """Base class for all simulator-raised errors."""
@@ -43,4 +45,12 @@ class ProtocolError(SimulationError):
 
 
 class CoherenceViolation(ProtocolError):
-    """The invariant checker detected incoherent data or metadata."""
+    """The coherence sanitizer detected incoherent data or metadata.
+
+    ``code`` names the failed invariant (``repro.protocol.invariants``
+    ``CODES``), or is None for a check outside that module.
+    """
+
+    def __init__(self, message: str, code: Optional[str] = None) -> None:
+        super().__init__(message)
+        self.code = code

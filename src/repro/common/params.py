@@ -245,12 +245,15 @@ class MachineParams:
     local_memory_bytes: int = 1 << 30
     # Forward-progress watchdog: cycles with no commit machine-wide.
     watchdog_cycles: int = 2_000_000
-    # Run the coherence invariant checker during simulation.
+    # Attach the coherence sanitizer (repro.fuzz.sanitizer): check_store
+    # (swmr / store-no-copy / data-value) at every committed store, and
+    # the end-of-run audit in Machine.final_checks (check_entry,
+    # check_swmr, check_quiescent_line on every line).
     check_coherence: bool = False
-    # Online sanitizer (repro.fuzz.sanitizer): continuous SWMR /
-    # store-version / occupancy invariants plus a livelock watchdog.
-    # Independent of check_coherence (which is the quiesce-time audit);
-    # zero simulator overhead while False.
+    # The sanitizer's online sweep: every sanitize_interval cycles,
+    # check_swmr and check_entry over every cached line, occupancy
+    # accounting and a livelock watchdog; also attaches the per-store
+    # check.  Zero simulator overhead while both flags are False.
     sanitize: bool = False
     # Cycles between full sanitizer sweeps (per-store checks always run).
     sanitize_interval: int = 64

@@ -31,7 +31,7 @@ per-node dump is raised — protocol bugs surface as dumps, not hangs.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.errors import DeadlockError
 from repro.common.events import EventWheel
@@ -39,7 +39,6 @@ from repro.common.params import MachineParams
 from repro.common.stats import MachineStats
 from repro.core.node import Node
 from repro.network.fabric import Interconnect
-from repro.protocol.checker import CoherenceChecker
 from repro.protocol.directory import DirectoryLayout
 from repro.protocol import registry
 
@@ -87,17 +86,15 @@ class Machine:
         ]
         for node in self.nodes:
             self.fabric.attach(node.node_id, node.mc.ni_receive)
-        self.checker: Optional[CoherenceChecker] = None
-        if mp.check_coherence:
-            self.checker = CoherenceChecker()
-            self.checker.attach(self)
         self.sanitizer = None
-        if mp.sanitize:
+        if mp.check_coherence or mp.sanitize:
             # Deferred import: repro.fuzz.campaign imports this module.
             from repro.fuzz.sanitizer import Sanitizer
 
-            self.sanitizer = Sanitizer(self)
-            self.sanitizer.attach()
+            self.sanitizer = Sanitizer(self).attach()
+        #: The sanitizer when its periodic sweep runs (``sanitize``).
+        self._sweeper = self.sanitizer if mp.sanitize else None
+        if mp.sanitize:
             # Shadow the class method so the un-sanitized step path pays
             # nothing — not even a None check — when the flag is off.
             self.step = self._sanitized_step
@@ -219,7 +216,7 @@ class Machine:
 
     def _sanitized_step(self) -> None:
         Machine.step(self)
-        self.sanitizer.on_cycle(self.cycle)
+        self._sweeper.on_cycle(self.cycle)
 
     def _event_step(self) -> bool:
         """One cycle with per-core sleep: mirrors :meth:`step` exactly,
@@ -296,13 +293,13 @@ class Machine:
                     self._cores_dirty = True
         if cycle - self._progress_cycle > self._watchdog:
             raise DeadlockError(self._deadlock_report())
-        if self.sanitizer is not None:
-            self.sanitizer.on_cycle(cycle)
+        if self._sweeper is not None:
+            self._sweeper.on_cycle(cycle)
         return awake
 
     def _event_step_1core(self) -> bool:
         """:meth:`_event_step` with the core loop unrolled for the
-        single-node machine (no sanitizer attached).  Same cycle
+        single-node machine (no sanitizer sweep).  Same cycle
         skeleton, same wake tests, no per-cycle list walk."""
         self.cycle = cycle = self.cycle + 1
         wheel = self.wheel
@@ -357,7 +354,7 @@ class Machine:
             return
         step = (
             self._event_step_1core
-            if len(self._cores) == 1 and self.sanitizer is None
+            if len(self._cores) == 1 and self._sweeper is None
             else self._event_step
         )
         deadline = self.cycle + max_cycles
@@ -541,8 +538,8 @@ class Machine:
             unit = core._unit_wake
             if now < unit < best:
                 best = unit
-        if self.sanitizer is not None and self.sanitizer._next_sweep < best:
-            best = self.sanitizer._next_sweep
+        if self._sweeper is not None and self._sweeper._next_sweep < best:
+            best = self._sweeper._next_sweep
         return max(best, now + 1)
 
     def _apply_skip(self, skipped: int) -> None:
@@ -630,8 +627,6 @@ class Machine:
         return stats
 
     def final_checks(self) -> None:
-        """Run the coherence audit (requires check_coherence=True)."""
-        if self.checker is None:
-            return
-        self.checker.final_audit(self)
-        self.checker.audit_directory(self)
+        """Run the sanitizer's end-of-run audit (with check_coherence)."""
+        if self.mp.check_coherence:
+            self.sanitizer.audit()

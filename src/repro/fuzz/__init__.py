@@ -4,11 +4,12 @@ The paper's whole argument rests on the protocol thread never losing
 coherence, so this package makes adversarial correctness checking a
 first-class subsystem:
 
-* :mod:`repro.fuzz.sanitizer` — an always-available online sanitizer
-  that validates SWMR, the store-version data-value invariant,
-  queue/MSHR occupancy accounting and directory encoding *while the
-  machine runs*, plus a livelock watchdog with structured stuck-state
-  diagnosis.  Enabled per-machine with ``MachineParams.sanitize``.
+* :mod:`repro.fuzz.sanitizer` — the coherence sanitizer: it evaluates
+  the :mod:`repro.protocol.invariants` predicates at every committed
+  store and in an end-of-run audit (``MachineParams.check_coherence``)
+  and, with ``MachineParams.sanitize``, in periodic sweeps *while the
+  machine runs*, alongside queue/MSHR occupancy accounting and a
+  livelock watchdog with structured stuck-state diagnosis.
 * :mod:`repro.fuzz.stress` — a seeded stress-traffic generator with
   configurable op mixes and sharing patterns, and a deterministic
   executor that can replay any recorded op sequence.

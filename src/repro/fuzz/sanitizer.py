@@ -1,40 +1,31 @@
-"""The online coherence sanitizer.
+"""The coherence sanitizer: online checks and the end-of-run audit.
 
-Where :class:`repro.protocol.checker.CoherenceChecker` audits at
-quiesce, the sanitizer checks invariants *while the machine runs*, so a
-protocol bug is caught at the cycle it corrupts state — under exactly
-the adversarial schedules (fault injection, contention storms) where a
-quiesce-only audit would either never be reached (deadlock) or report a
-corpse with no trail.
+One :class:`Sanitizer` per machine evaluates the predicates of
+:mod:`repro.protocol.invariants`, raising
+:class:`~repro.common.errors.CoherenceViolation` with the predicate's
+``code``.  Online checks catch a bug at the cycle it corrupts state —
+under exactly the adversarial schedules (fault injection, contention
+storms) where a quiesce-only audit would never be reached (deadlock)
+or would report a corpse with no trail.
 
-Checks
-------
-Per committed store (hooked through ``hierarchy.on_store``):
+* Per committed store, through one ``hierarchy.on_store`` hook per
+  node (``MachineParams.check_coherence`` or ``sanitize``):
+  ``check_store``.
+* Per sweep, every ``sanitize_interval`` cycles (``sanitize`` only):
+  ``check_swmr`` and ``check_entry`` in one pass over each node's
+  ``cached_app_lines()``; MSHR/queue/bypass occupancy accounting; and
+  a livelock watchdog — an MSHR entry outstanding for more than
+  ``watchdog_cycles`` is starving even if handlers keep firing (a NACK
+  storm the commit watchdog cannot see), reported as a
+  :class:`~repro.common.errors.LivelockError` with a structured
+  diagnosis.
+* End of run (:meth:`Sanitizer.audit`, from ``Machine.final_checks``
+  with ``check_coherence``): ``check_entry``, ``check_swmr`` and
+  ``check_quiescent_line`` on every line a cache, a directory entry or
+  a committed store mentions.
 
-* **SWMR** — no other node holds a writable copy of the stored line at
-  the instant of the store.
-* **Store-version data-value invariant** — the k-th store machine-wide
-  to a line must leave the owning copy at version k.  A store that
-  landed on a stale copy shows up immediately as a version mismatch
-  instead of surfacing cycles later as a lost update.
-
-Per sweep (every ``MachineParams.sanitize_interval`` cycles):
-
-* **SWMR sweep** — at most one writable copy across all nodes.
-* **Occupancy accounting** — MSHR class counters match the entry map
-  and never exceed capacity; bounded queues and bypass buffers respect
-  their capacities.
-* **Directory encoding** — every directory entry for a cached line has
-  a legal state and in-range owner/waiter/sharer fields.
-* **Livelock watchdog** — an MSHR entry outstanding for more than
-  ``watchdog_cycles`` means the transaction is starving even if
-  handlers keep firing (a NACK storm the commit watchdog cannot see);
-  the raised :class:`~repro.common.errors.LivelockError` carries a
-  structured diagnosis of which queue/MSHR/handler is stuck.
-
-The sanitizer is wired by :class:`repro.core.machine.Machine` when
-``MachineParams.sanitize`` is true; with the flag off the machine's
-step path is untouched (zero overhead).
+With both flags off the machine has no sanitizer and its step path is
+untouched (zero overhead).
 """
 
 from __future__ import annotations
@@ -45,6 +36,9 @@ from typing import Dict, List, Tuple
 from repro.caches.coherence import CacheState
 from repro.common.errors import CoherenceViolation, LivelockError
 from repro.protocol import directory as d
+from repro.protocol import invariants as inv
+
+_WRITABLE = (CacheState.EXCLUSIVE, CacheState.MODIFIED)
 
 
 class Sanitizer:
@@ -62,13 +56,19 @@ class Sanitizer:
         self._mshr_first_seen: Dict[Tuple[int, int], Tuple[object, int]] = {}
         self.sweeps = 0
         self.store_checks = 0
+        # hierarchy -> the on_store callable we chained onto, so detach
+        # can restore it.  Empty while not attached.
         self._chained: Dict[object, object] = {}
 
     # ------------------------------------------------------------------
-    # Hook management (same discipline as CoherenceChecker)
+    # Hook management
     # ------------------------------------------------------------------
 
     def attach(self) -> "Sanitizer":
+        """Chain the per-store check onto every node's hierarchy.
+        Idempotent, so hooks never stack (a stacked hook would count
+        every store twice).  Returns ``self``, a context manager that
+        detaches on exit."""
         for node in self.machine.nodes:
             hierarchy = node.hierarchy
             if hierarchy in self._chained:
@@ -78,9 +78,14 @@ class Sanitizer:
         return self
 
     def detach(self) -> None:
+        """Restore every hooked ``on_store`` to what attach found."""
         for hierarchy, original in self._chained.items():
             hierarchy.on_store = original
         self._chained.clear()
+
+    @property
+    def attached(self) -> bool:
+        return bool(self._chained)
 
     def __enter__(self) -> "Sanitizer":
         return self
@@ -95,6 +100,12 @@ class Sanitizer:
 
         return hook
 
+    def _fail(self, failure: inv.Failure, la: int) -> CoherenceViolation:
+        code, message = failure
+        return CoherenceViolation(
+            f"cycle {self.machine.cycle}: line {la:#x}: {message}", code=code
+        )
+
     # ------------------------------------------------------------------
     # Per-store checks
     # ------------------------------------------------------------------
@@ -104,27 +115,21 @@ class Sanitizer:
         count = self.store_counts[line_addr] + 1
         self.store_counts[line_addr] = count
         line = node.hierarchy.l2.lookup(line_addr)
-        if line is None or not line.state.writable:
-            raise CoherenceViolation(
-                f"cycle {self.machine.cycle}: node {node.node_id} committed a "
-                f"store to {line_addr:#x} without a writable L2 copy"
-            )
-        if line.version != count:
-            raise CoherenceViolation(
-                f"cycle {self.machine.cycle}: store #{count} to "
-                f"{line_addr:#x} at node {node.node_id} left version "
-                f"{line.version} — the store landed on a stale copy"
-            )
+        others = []
         for other in self.machine.nodes:
-            if other is node:
-                continue
-            peer = other.hierarchy.l2.lookup(line_addr)
-            if peer is not None and peer.state.writable:
-                raise CoherenceViolation(
-                    f"cycle {self.machine.cycle}: node {node.node_id} stored "
-                    f"to {line_addr:#x} while node {other.node_id} holds a "
-                    f"{peer.state.name} copy (SWMR broken)"
-                )
+            if other is not node:
+                peer = other.hierarchy.l2.lookup(line_addr)
+                if peer is not None and peer.state.writable:
+                    others.append(other.node_id)
+        failure = inv.check_store(
+            node.node_id,
+            line is not None and line.state.writable,
+            0 if line is None else line.version,
+            count,
+            others,
+        )
+        if failure is not None:
+            raise self._fail(failure, line_addr)
 
     # ------------------------------------------------------------------
     # Periodic sweep
@@ -140,20 +145,30 @@ class Sanitizer:
         self.sweeps += 1
         machine = self.machine
         writers: Dict[int, List[int]] = {}
-        cached: Dict[int, List[int]] = {}
+        cached: Dict[int, None] = {}
+        writable = _WRITABLE
         for node in machine.nodes:
             self._check_occupancy(node)
             for la, state in node.hierarchy.cached_app_lines().items():
-                cached.setdefault(la, []).append(node.node_id)
-                if state in (CacheState.EXCLUSIVE, CacheState.MODIFIED):
+                cached[la] = None
+                if state in writable:
                     writers.setdefault(la, []).append(node.node_id)
         for la, nodes in writers.items():
-            if len(nodes) > 1:
-                raise CoherenceViolation(
-                    f"cycle {cycle}: line {la:#x} writable at multiple "
-                    f"nodes: {nodes}"
-                )
-        self._check_directory_encoding(cached, cycle)
+            failure = inv.check_swmr(nodes)
+            if failure is not None:
+                raise self._fail(failure, la)
+        layout = machine.layout
+        home_of = layout.home_of
+        entry_addr = layout.dir_entry_addr
+        pmems = [node.pmem for node in machine.nodes]
+        n_nodes = len(pmems)
+        check_entry = inv.check_entry
+        for la in cached:
+            failure = check_entry(
+                pmems[home_of(la)].get(entry_addr(la), 0), n_nodes
+            )
+            if failure is not None:
+                raise self._fail(failure, la)
         self._check_forward_progress(cycle)
 
     def _check_occupancy(self, node) -> None:
@@ -184,38 +199,48 @@ class Sanitizer:
                     f"{len(buf)} > capacity {buf.n_lines}"
                 )
 
-    def _check_directory_encoding(
-        self, cached: Dict[int, List[int]], cycle: int
-    ) -> None:
+    # ------------------------------------------------------------------
+    # End-of-run audit
+    # ------------------------------------------------------------------
+
+    def audit(self) -> None:
+        """At quiescence, check every line that a cache holds, a
+        directory entry records or a committed store touched."""
         machine = self.machine
         layout = machine.layout
         n_nodes = machine.mp.n_nodes
-        vector_mask = ~((1 << n_nodes) - 1)
-        for la in cached:
+        writers: Dict[int, List[int]] = defaultdict(list)
+        sharers: Dict[int, List[int]] = defaultdict(list)
+        owner_versions: Dict[int, int] = {}
+        for node in machine.nodes:
+            l2 = node.hierarchy.l2
+            for la, state in node.hierarchy.cached_app_lines().items():
+                if state in _WRITABLE:
+                    writers[la].append(node.node_id)
+                    owner_versions[la] = l2.lookup(la).version
+                else:
+                    sharers[la].append(node.node_id)
+        lines = set(writers) | set(sharers) | set(self.store_counts)
+        for node in machine.nodes:
+            lines.update(layout.directory_lines(node.node_id, node.pmem))
+        for la in sorted(lines):
             home = machine.nodes[layout.home_of(la)]
             entry = home.pmem.get(layout.dir_entry_addr(la), 0)
-            state = d.state_of(entry)
-            if state not in d.STATE_NAMES:
-                raise CoherenceViolation(
-                    f"cycle {cycle}: line {la:#x} directory entry has "
-                    f"illegal state {state} ({entry:#x})"
+            held = writers.get(la, ())
+            failure = (
+                inv.check_entry(entry, n_nodes)
+                or inv.check_swmr(held)
+                or inv.check_quiescent_line(
+                    entry,
+                    held,
+                    sharers.get(la, ()),
+                    owner_versions.get(la, 0),
+                    home.memory_versions.get(la, 0),
+                    self.store_counts.get(la, 0),
                 )
-            if state == d.EXCLUSIVE and d.owner_of(entry) >= n_nodes:
-                raise CoherenceViolation(
-                    f"cycle {cycle}: line {la:#x} directory owner "
-                    f"{d.owner_of(entry)} out of range ({n_nodes} nodes)"
-                )
-            if d.sharers_of(entry) and (
-                self._vector_of(entry) & vector_mask
-            ):
-                raise CoherenceViolation(
-                    f"cycle {cycle}: line {la:#x} sharer vector names a "
-                    f"node >= {n_nodes}: {d.describe(entry)}"
-                )
-
-    @staticmethod
-    def _vector_of(entry: int) -> int:
-        return entry >> d.VECTOR_SHIFT
+            )
+            if failure is not None:
+                raise self._fail(failure, la)
 
     # ------------------------------------------------------------------
     # Livelock watchdog

@@ -230,7 +230,7 @@ def run_ops(
     Issues keep ``max_outstanding`` misses in flight; a blocked issue
     (no MSHR) is retried on a later cycle without reordering.  Raises
     :class:`DeadlockError` if the traffic does not complete within
-    ``max_cycles``; any sanitizer/checker violation propagates from
+    ``max_cycles``; any sanitizer violation propagates from
     inside the machine's step.
     """
     traffic = _OpTraffic(machine, ops, max_outstanding)

@@ -1,15 +1,13 @@
 """The directory-based coherence protocol: ISA, handlers, semantics,
-directory layout, and the invariant checker."""
+directory layout, and the coherence invariants."""
 
 from repro.protocol import extensions, registry
-from repro.protocol.checker import CoherenceChecker
 from repro.protocol.directory import DirectoryLayout
 from repro.protocol.handlers import build_handler_table
 from repro.protocol.isa import Handler, HandlerBuilder, HandlerTable, PInstr, POp
 from repro.protocol.registry import DEFAULT_PROTOCOL, ProtocolBundle
 
 __all__ = [
-    "CoherenceChecker",
     "DEFAULT_PROTOCOL",
     "DirectoryLayout",
     "Handler",

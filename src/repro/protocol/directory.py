@@ -19,13 +19,13 @@ bits   field
 
 The handlers manipulate these fields with shifts/masks/popcount in the
 protocol ISA; this module provides the same encoding for Python-side
-tooling (boot, checker, tests).
+tooling (boot, the invariant checks, tests).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from repro.caches.hierarchy import PROTO_SPACE_BIT
 from repro.common.errors import ConfigError
@@ -45,7 +45,8 @@ WAITER_SHIFT = 9
 WAITER_MASK = 0x3F
 #: "XFER debt": set by h_put's late arm when a writeback resolves a
 #: BUSY transaction whose XFER revision is still in flight.  While
-#: set, the entry is otherwise UNOWNED and h_get/h_getx NACK, so no
+#: set, the entry is otherwise UNOWNED (``invariants.check_entry``
+#: enforces it) and h_get/h_getx NACK, so no
 #: look-alike transaction can start; h_xfer consumes the bit instead
 #: of interpreting the stale revision.
 XFER_DEBT_SHIFT = 15
@@ -170,3 +171,15 @@ class DirectoryLayout:
         """
         local = line_addr & self.local_mask
         return self.dir_base + ((local >> self.line_shift) << self.entry_shift)
+
+    def directory_lines(self, home: int, pmem: Dict[int, int]) -> List[int]:
+        """The lines whose directory entries ``home``'s protocol memory
+        holds: :meth:`dir_entry_addr` inverted."""
+        base = self.dir_base
+        end = PROTO_SPACE_BIT | SCRATCH_BASE_OFFSET
+        node_base = home << self.home_shift
+        return [
+            node_base | (addr - base) >> self.entry_shift << self.line_shift
+            for addr in pmem
+            if base <= addr < end
+        ]

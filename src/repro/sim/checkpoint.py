@@ -42,8 +42,8 @@ statistic are unaffected — only the accounting of the scheduling
 optimization shifts by a few cycles per suspend point.
 
 Observers that wrap controller methods with in-process closures
-(:class:`~repro.sim.trace.ProtocolTracer`, the coherence checker, the
-fuzz sanitizer) make a machine un-picklable *and* un-portable;
+(:class:`~repro.sim.trace.ProtocolTracer`, the coherence sanitizer)
+make a machine un-picklable *and* un-portable;
 :func:`snapshot` refuses with a list of blockers rather than producing
 a checkpoint that cannot restore.  Attach tracers after restore
 instead.
@@ -173,9 +173,7 @@ def checkpoint_blockers(machine: Machine) -> List[str]:
             "(machine.record_programs was false at build time)"
         )
     if machine.sanitizer is not None:
-        blockers.append("fuzz sanitizer attached")
-    if machine.checker is not None and machine.checker.attached:
-        blockers.append("coherence checker attached")
+        blockers.append("coherence sanitizer attached")
     for node in machine.nodes:
         for owner, name in _WRAPPABLE:
             # Legitimate instance attributes here are bound methods

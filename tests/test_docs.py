@@ -50,3 +50,26 @@ def test_env_flags_count_only_string_literals_the_code_reads():
     )
     assert check_docs.env_flags_read(source) == {
         "REPRO_READ_DIRECTLY", "REPRO_READ_VIA_CONSTANT"}
+
+
+def test_invariant_codes_are_listed_both_ways():
+    """docs/analyze.md's ## Invariants list names exactly the codes
+    repro.protocol.invariants declares; the parsers see a dropped or a
+    phantom code."""
+    from repro.protocol import invariants
+
+    source = (check_docs.REPO / check_docs.INVARIANTS_SOURCE).read_text()
+    doc = (check_docs.REPO / check_docs.INVARIANTS_DOC).read_text()
+    assert check_docs.invariant_codes(source) == set(invariants.CODES)
+    assert check_docs.documented_invariant_codes(doc) == set(invariants.CODES)
+
+    fake_source = 'X = 1\nCODES = ("swmr", "data-value")\n'
+    assert check_docs.invariant_codes(fake_source) == {"swmr", "data-value"}
+    fake_doc = (
+        "# Manual\n\n- `not-a-code` — outside the section.\n\n"
+        "## Invariants\n\nProse naming `stuck` is not an item.\n\n"
+        "- `swmr` — two writers.\n- `phantom` — gone.\n\n"
+        "## Next\n\n- `trap` — another section.\n"
+    )
+    assert check_docs.documented_invariant_codes(fake_doc) == {
+        "swmr", "phantom"}

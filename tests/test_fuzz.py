@@ -66,9 +66,14 @@ class TestGenerateOps:
 
 class TestSanitizerWiring:
     def test_flag_off_leaves_step_untouched(self):
-        m = small_machine("base")
+        m = small_machine("base", check_coherence=False)
         assert m.sanitizer is None
         assert "step" not in m.__dict__  # class method: zero overhead
+        # check_coherence alone hooks stores but never sweeps.
+        m = small_machine("base")
+        assert isinstance(m.sanitizer, Sanitizer)
+        assert "step" not in m.__dict__
+        assert m._sweeper is None
 
     def test_flag_on_installs_sanitizer(self):
         m = sanitized_machine()

@@ -39,6 +39,13 @@ And for ``make`` targets quoted in the docs:
    must exist in the Makefile *and* be described in README.md or
    EXPERIMENTS.md.
 
+And for the coherence invariants:
+
+7. **Invariant codes both ways** — the ``## Invariants`` list in
+   ``docs/analyze.md`` names exactly the codes in
+   ``repro.protocol.invariants.CODES``: no code missing from the list,
+   no listed code the module no longer has.
+
 Run as ``make docs-check`` or ``python tools/check_docs.py``; exit 0
 clean, 1 stale.  ``tests/test_docs.py`` wraps it so staleness also
 fails tier-1.
@@ -108,6 +115,12 @@ MAKE_RE = re.compile(
 # of ENV_DOCS: the CI perf gates operators are expected to run.
 REQUIRED_TARGETS = ("smoke", "fig8-smoke")
 
+# Where the invariant codes are declared and where they are listed.
+INVARIANTS_SOURCE = "src/repro/protocol/invariants.py"
+INVARIANTS_DOC = "docs/analyze.md"
+# A list item opening with a backquoted code, inside the section.
+INVARIANT_ITEM_RE = re.compile(r"^[-*]\s+`([a-z][a-z-]*)`", re.MULTILINE)
+
 
 def makefile_targets() -> set[str]:
     """Every rule name defined in the top-level Makefile."""
@@ -140,6 +153,24 @@ def implemented_env_flags() -> set[str]:
         for path in (REPO / top).rglob("*.py"):
             flags |= env_flags_read(path.read_text())
     return flags
+
+
+def invariant_codes(source: str) -> set[str]:
+    """The codes in the module-level ``CODES`` tuple of ``source``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "CODES" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def documented_invariant_codes(doc: str) -> set[str]:
+    """The codes opening the list items of ``doc``'s ``## Invariants``
+    section (up to the next ``## `` heading)."""
+    match = re.search(r"^## Invariants\n(.*?)(?=^## |\Z)", doc,
+                      re.MULTILINE | re.DOTALL)
+    return set(INVARIANT_ITEM_RE.findall(match.group(1))) if match else set()
 
 
 def live_flags(command: str) -> set[str]:
@@ -253,6 +284,22 @@ def main() -> int:
                 f"make target `{target}` is live but described in "
                 f"neither of {', '.join(ENV_DOCS)}"
             )
+
+    # Direction 7: invariant codes, both ways.
+    codes = invariant_codes((REPO / INVARIANTS_SOURCE).read_text())
+    listed = documented_invariant_codes((REPO / INVARIANTS_DOC).read_text())
+    if not codes:
+        problems.append(f"{INVARIANTS_SOURCE}: no CODES tuple found")
+    for code in sorted(codes - listed):
+        problems.append(
+            f"{INVARIANTS_DOC}: invariant code `{code}` is missing from "
+            f"the ## Invariants list"
+        )
+    for code in sorted(listed - codes):
+        problems.append(
+            f"{INVARIANTS_DOC}: lists invariant code `{code}`, which "
+            f"{INVARIANTS_SOURCE} does not declare"
+        )
 
     for line in problems:
         print(f"docs-check: {line}")
