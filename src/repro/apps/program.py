@@ -314,7 +314,7 @@ class ThreadProgram:
         self._wheel = wheel
         self._log: Optional[List[Optional[int]]] = [] if record else None
         #: Wake hook (activity contract): set by the machine to the
-        #: host core's ``wake()`` so sleep-backoff expiry re-enables
+        #: host core's ``wake_fetch()`` so sleep-backoff expiry re-enables
         #: fetch without the core polling ``peek_available``.
         self.on_wake: Optional[Callable[[], None]] = None
 

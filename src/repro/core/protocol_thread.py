@@ -70,11 +70,14 @@ class SMTpPort:
         self.dispatched_count += 1
         self.pending = ctx
         self.try_start()
-        # A new dispatch can satisfy a stalled SWITCH and always feeds
-        # the protocol thread's fetch: wake the host core.
+        # A new dispatch can satisfy a stalled SWITCH, turns the port
+        # busy and feeds the protocol thread's fetch: wake the host
+        # core with those verdicts reopened.  (try_start's other
+        # callers run inside the core's own retire and fetch, which
+        # reopen the protocol thread's fetch verdict themselves.)
         core = self.source.node.core
         if core is not None:
-            core.wake()
+            core.wake_handler()
 
     # -- sequencing -------------------------------------------------------
     def try_start(self) -> None:

@@ -65,7 +65,7 @@ from repro.network import messages
 from repro.protocol import compile as pcompile
 
 #: Bump when the checkpoint payload layout changes.
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 #: Escape hatch: disable checkpointing (workers run jobs straight).
 NO_CKPT_ENV = "REPRO_NO_CKPT"
@@ -314,9 +314,10 @@ def run_chunked(
     ``REPRO_NO_CKPT=1`` escape hatch is set) — typically to
     :func:`save` the machine and heartbeat a queue lease.  Chunked
     stepping is bit-identical to one straight ``run`` call: slice
-    deadlines are relative to the current cycle, and the idle-fixup
-    flush at a slice boundary applies exactly the cycles a straight
-    run would have batched (see ``tests/test_checkpoint.py``).
+    deadlines are relative to the current cycle, and the settle of the
+    lazily accrued stall/busy counters at a slice boundary charges
+    exactly the cycles a straight run would have accrued (see
+    ``tests/test_checkpoint.py``).
     """
     hatch = checkpointing_disabled()
     deadline = machine.cycle + max_cycles

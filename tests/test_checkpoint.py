@@ -374,9 +374,10 @@ def test_snapshot_mid_superblock_restores_identically(interp, monkeypatch):
 def test_snapshot_restore_smtp_fast_path_all_bundles(monkeypatch):
     """SMTp 2-way cells under the fused fast path: suspend mid-run and
     resume, once per registered coherence bundle.  The restored core
-    must rebuild its quiet-stage latches (``_cm_stall``/``_fetch_idle``
-    are not snapshot state — they are caches that re-derive) and still
-    land on the uninterrupted stats."""
+    must rebuild its per-thread commit/fetch verdicts and busy status
+    (``_cm_dirty``/``_ft_parked``/``_busy_dirty`` are not snapshot
+    state — they are caches that restore cold) from its settled stall
+    and busy anchors, and still land on the uninterrupted stats."""
     monkeypatch.delenv("REPRO_APP_INTERP", raising=False)
     for protocol in ("smtp-bitvector", "msi", "migratory"):
         spec = ck.make_spec("fft", "smtp", n_nodes=2, ways=2,
@@ -390,6 +391,83 @@ def test_snapshot_restore_smtp_fast_path_all_bundles(monkeypatch):
         resumed = _finish(ck.restore(ck.snapshot(m)))
 
         assert resumed == straight, f"{protocol}: resumed run diverged"
+
+
+def _anchors_open(machine) -> bool:
+    """An awake core holds a stalled thread (open stall anchor) while
+    another core sleeps: a stats read must settle both."""
+    cores = machine._cores
+    return any(c._asleep for c in cores) and any(
+        not c._asleep and any(t.stall_from and t.rob for t in c.threads)
+        for c in cores
+    )
+
+
+def _probe_when_anchors_open(machine, probe) -> list:
+    """Run ``machine`` to the end, calling ``probe(machine)`` between
+    two cycles of its event loop the first time anchors are open."""
+    fired = []
+    event_step = machine._event_step
+
+    def stepped() -> bool:
+        awake = event_step()
+        if not fired and _anchors_open(machine):
+            # Unhook first: run() holds its own reference, and the
+            # probe may pickle the machine.
+            del machine._event_step
+            fired.append(probe(machine))
+        return awake
+
+    machine._event_step = stepped
+    machine.run(30_000_000)
+    machine.__dict__.pop("_event_step", None)
+    return fired
+
+
+@pytest.mark.parametrize("protocol", ["smtp-bitvector", "msi", "migratory"])
+def test_mid_run_stats_reads_settle_anchors_exactly(monkeypatch, protocol):
+    """Stall and busy cycles accrue lazily from anchor cycles.  A
+    ``collect_stats()`` or ``snapshot()`` taken while anchors are open
+    — mid-run, inside the event loop — must settle them without
+    double-counting or dropping a cycle: the read equals the
+    REPRO_DENSE_STEP=1 REPRO_APP_INTERP=1 reference's stats at the same
+    cycle, and the run then finishes on the uninterrupted stats
+    (``skipped_cycles`` included for the stats read) and on the
+    reference's."""
+    spec = ck.make_spec("water", "smtp", n_nodes=4, ways=2, preset="tiny",
+                        protocol=protocol)
+
+    def finish_full(machine) -> dict:
+        _finish(machine)
+        return machine.collect_stats().to_dict()
+
+    straight = finish_full(ck.build_checkpointable(spec))
+
+    m = ck.build_checkpointable(spec)
+    reads = _probe_when_anchors_open(
+        m, lambda mm: (mm.cycle, mm.collect_stats().to_dict()))
+    assert reads
+    assert finish_full(m) == straight
+
+    m = ck.build_checkpointable(spec)
+    blobs = _probe_when_anchors_open(m, lambda mm: mm.snapshot())
+    assert blobs
+    resumed = _finish(ck.restore(blobs[0]))
+
+    monkeypatch.setenv("REPRO_DENSE_STEP", "1")
+    monkeypatch.setenv("REPRO_APP_INTERP", "1")
+    cycle, mid_run = reads[0]
+    ref = ck.build_checkpointable(spec)
+    while ref.cycle < cycle:
+        ref.step()
+    ref_mid_run = ref.collect_stats().to_dict()
+    reference = _finish(ref)
+
+    for d in (mid_run, ref_mid_run, straight):
+        d.pop("skipped_cycles")
+    assert mid_run == ref_mid_run
+    assert resumed == straight
+    assert reference == straight
 
 
 def test_snapshot_restore_fast_path_matches_interp_mode(monkeypatch):
