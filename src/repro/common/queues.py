@@ -152,6 +152,9 @@ class DualQueue(Generic[T]):
         self.reserved = reserved
         self.app: Deque[T] = deque()
         self.proto: Deque[T] = deque()
+        # Section priority for :meth:`drain` only.  The pipeline drains
+        # the sections itself and derives their priority from the cycle
+        # number, so it neither calls drain nor reads this flag.
         self._proto_first = False
 
     def __len__(self) -> int:
