@@ -49,9 +49,8 @@ from repro.analyze import symmetry as sym
 from repro.analyze.model import (
     ExploreResult,
     MState,
-    ModelViolation,
+    Search,
     Violation,
-    expand,
     root_entry,
 )
 
@@ -66,6 +65,12 @@ def _key_digest(key: Tuple) -> bytes:
 
 def _digest(st: MState) -> bytes:
     return _key_digest(sym.state_key(st))
+
+
+def _ident(st: MState, key: Optional[Tuple]) -> bytes:
+    """A successor's identity on disk: the digest of its canonical key
+    (``None`` when symmetry reduction is off)."""
+    return _key_digest(key) if key is not None else _digest(st)
 
 
 def _shard_of(digest: bytes, n_shards: int) -> int:
@@ -110,58 +115,39 @@ def _expand_shard(payload: Dict[str, object]) -> Dict[str, object]:
     out_dir.mkdir(parents=True, exist_ok=True)
     src = int(payload["shard_index"])  # type: ignore[arg-type]
     n_shards = int(payload["n_shards"])  # type: ignore[arg-type]
-    layout = payload["layout"]
-    table = payload["table"]
     depth = payload["depth"]
-    reduce_sym = bool(payload["reduce_sym"])
-    reduce_por = bool(payload["reduce_por"])
-    bundle = payload.get("bundle")
 
-    buckets: Dict[int, Dict[bytes, Tuple]] = {}
+    found: Dict[bytes, Tuple] = {}  # digest -> (orbit, *entry)
     transitions = pruned = 0
     max_depth = 0
     truncated = False
     violations: List[Dict[str, object]] = []
 
-    first = entries[0][0]  # shard files are only written non-empty
-    canon = sym.Canonicalizer(len(first.nodes), len(first.entries))
-    for st, trace, sig, lam in entries:
-        max_depth = max(max_depth, len(trace))
-        if depth is not None and len(trace) >= int(depth):  # type: ignore[arg-type]
+    # Shard files are only written non-empty.
+    search = Search(
+        entries[0][0], payload["layout"], payload["table"],
+        payload.get("bundle"), bool(payload["reduce_sym"]),
+        bool(payload["reduce_por"]),
+    )
+    for entry in entries:
+        max_depth = max(max_depth, len(entry[1]))
+        if depth is not None and len(entry[1]) >= int(depth):  # type: ignore[arg-type]
             truncated = True
             continue
-        try:
-            succ, pr = expand(st, layout, table, por=reduce_por, bundle=bundle)
-        except ModelViolation as exc:
-            label = sym.remap_label(getattr(exc, "label", "?"), sig, lam)
-            violations.append({
-                "code": exc.code,
-                "status": exc.status,
-                "message": sym.remap_label(str(exc), sig, lam),
-                "trace": list(trace) + [label],
-            })
+        kids, n_succ, pr, violation = search.expand(entry, found, _ident)
+        if violation is not None:
+            violations.append(
+                dict(violation._asdict(), trace=list(violation.trace))
+            )
             continue
+        transitions += n_succ
         pruned += pr
-        for label, nxt in succ:
-            transitions += 1
-            if reduce_sym:
-                cnxt, rho_s, rho_l, orbit, key = canon(nxt)
-                dg = _key_digest(key)
-            else:
-                cnxt, orbit = nxt, 1
-                rho_s = sym.identity(len(st.nodes))
-                rho_l = sym.identity(len(st.entries))
-                dg = _digest(cnxt)
-            bucket = buckets.setdefault(_shard_of(dg, n_shards), {})
-            if dg not in bucket:
-                bucket[dg] = (
-                    orbit,
-                    cnxt,
-                    trace + (sym.remap_label(label, sig, lam),),
-                    sym.compose(sig, sym.invert(rho_s)),
-                    sym.compose(lam, sym.invert(rho_l)),
-                )
+        for child, orbit, dg in kids:
+            found[dg] = (orbit,) + child
 
+    buckets: Dict[int, Dict[bytes, Tuple]] = {}
+    for dg, item in found.items():
+        buckets.setdefault(_shard_of(dg, n_shards), {})[dg] = item
     for target, bucket in buckets.items():
         _write_atomic(
             out_dir / f"from{src:03d}_to{target:03d}.pkl",
@@ -319,10 +305,10 @@ def explore_disk(
                 "reduce_por": reduce_por,
                 "bundle": bundle,
             }))
-        outcomes: List[Dict[str, object]] = []
+        outcomes: Dict[Tuple[int, int], Dict[str, object]] = {}
 
         def on_done(ident, payload, outcome, elapsed, attempts) -> None:
-            outcomes.append(outcome or {"_pool_status": "crashed"})
+            outcomes[ident] = outcome or {"_pool_status": "crashed"}
 
         pool_map(
             pending, _expand_shard, jobs=jobs, on_done=on_done,
@@ -330,7 +316,9 @@ def explore_disk(
         )
 
         violations: List[Dict[str, object]] = []
-        for outcome in outcomes:
+        # In shard order, so ties between equally short violations
+        # do not depend on which worker finished first.
+        for _, outcome in sorted(outcomes.items()):
             if outcome.get("_pool_status"):
                 raise ConfigError(
                     f"frontier worker failed: {outcome['_pool_status']}"

@@ -30,9 +30,10 @@ workers, kill-resumable via the PR 6 ledger machinery.
 
 Invariants: the :mod:`repro.protocol.invariants` predicates, the same
 ones the sanitizer evaluates on the full simulator — ``check_entry``
-and ``check_swmr`` after every transition, ``check_store`` at every
-committed store, ``check_quiescent_line`` once nothing is in flight —
-plus two the model adds:
+and ``check_swmr`` on every new state when it is admitted (see
+:class:`Search`), ``check_store`` at every committed store,
+``check_quiescent_line`` once nothing is in flight — plus two the
+model adds:
 
 * **No stuck states** (``stuck``) — an MSHR with no message in flight
   anywhere can never complete: deadlock.
@@ -224,8 +225,50 @@ def initial_state(
     )
 
 
+class _Node:
+    """A thawed :class:`MNode`: the mutable form ``_Sim`` edits in place.
+
+    Same field names as ``MNode``, so code that only reads a node works
+    on either form.
+    """
+
+    __slots__ = MNode._fields
+
+    def __init__(self, node: MNode):
+        self.caches = list(node.caches)
+        self.versions = list(node.versions)
+        self.mshrs = list(node.mshrs)
+        self.probes = list(node.probes)
+        self.lmi = list(node.lmi)
+        self.loads = node.loads
+        self.stores = node.stores
+        self.wb_pending = list(node.wb_pending)
+
+    def freeze(self) -> MNode:
+        return MNode(
+            tuple(self.caches), tuple(self.versions), tuple(self.mshrs),
+            tuple(self.probes), tuple(self.lmi), self.loads, self.stores,
+            tuple(self.wb_pending),
+        )
+
+
+class _Run(NamedTuple):
+    """One handler execution, recorded for replay (see ``run_handler``)."""
+
+    name: str
+    ops: Tuple[Tuple[POp, int, int], ...]  # (op, imm, value) in program order
+    entry: Optional[int]  # final home directory entry; None off-home
+    error: Optional[str]  # the ProtocolError that ended the run, if any
+
+
 class _Sim:
-    """Mutable working copy of one MState, for applying a transition."""
+    """Copy-on-write working copy of one MState, for applying a transition.
+
+    Nodes and channel FIFOs stay the frozen tuples of the source state
+    until a transition writes them (:meth:`node`, :meth:`chan_at`);
+    :meth:`freeze` reuses every untouched one by identity.  Reads go
+    through ``self.nodes[i]``, which holds either form.
+    """
 
     def __init__(
         self,
@@ -233,56 +276,72 @@ class _Sim:
         layout: DirectoryLayout,
         table: HandlerTable,
         bundle=None,
+        runs: Optional[Dict] = None,
     ):
         self.layout = layout
         self.table = table
         #: Protocol bundle whose dispatch tables route messages; None
         #: falls back to the default protocol's module tables.
         self.bundle = bundle
+        #: Handler runs recorded so far, keyed by their inputs; shared
+        #: by every ``_Sim`` of one search.
+        self.runs = {} if runs is None else runs
+        self.st = st
         self.n = len(st.nodes)
-        self.n_lines = len(st.entries)
-        self.nodes = [n._asdict() for n in st.nodes]
-        for node in self.nodes:
-            node["caches"] = list(node["caches"])
-            node["versions"] = list(node["versions"])
-            node["mshrs"] = list(node["mshrs"])
-            node["wb_pending"] = list(node["wb_pending"])
-            node["probes"] = list(node["probes"])
-            node["lmi"] = list(node["lmi"])
+        self.nodes: List = list(st.nodes)  # MNode, or _Node once thawed
+        self._thawed: List[int] = []
+        self._chans: Dict[int, List[MMsg]] = {}  # thawed FIFOs by index
         self.entries = list(st.entries)
         self.mems = list(st.mems)
         self.mem_sets = list(st.mem_sets)
         self.counts = list(st.counts)
-        self.chans = [list(q) for q in st.chans]
         self.home = layout.home_of(LINE)
 
+    def node(self, i: int) -> _Node:
+        """Node ``i`` in writable form, thawed on first use."""
+        node = self.nodes[i]
+        if node.__class__ is MNode:
+            node = self.nodes[i] = _Node(node)
+            self._thawed.append(i)
+        return node
+
+    def chan_at(self, ci: int) -> List[MMsg]:
+        """Channel FIFO ``ci`` in writable form, thawed on first use."""
+        q = self._chans.get(ci)
+        if q is None:
+            q = self._chans[ci] = list(self.st.chans[ci])
+        return q
+
     def freeze(self) -> MState:
-        nodes = tuple(
-            MNode(
-                caches=tuple(n["caches"]), versions=tuple(n["versions"]),
-                mshrs=tuple(n["mshrs"]), probes=tuple(n["probes"]),
-                lmi=tuple(n["lmi"]), loads=n["loads"], stores=n["stores"],
-                wb_pending=tuple(n["wb_pending"]),
-            )
-            for n in self.nodes
-        )
+        st = self.st
+        nodes = st.nodes
+        if self._thawed:
+            thawed = list(nodes)
+            for i in self._thawed:
+                thawed[i] = self.nodes[i].freeze()
+            nodes = tuple(thawed)
+        chans = st.chans
+        if self._chans:
+            thawed = list(chans)
+            for ci, q in self._chans.items():
+                thawed[ci] = tuple(q)
+            chans = tuple(thawed)
         return MState(
             nodes, tuple(self.entries), tuple(self.mems),
-            tuple(self.mem_sets), tuple(self.counts),
-            tuple(tuple(q) for q in self.chans),
+            tuple(self.mem_sets), tuple(self.counts), chans,
         )
 
     # -- message plumbing ----------------------------------------------
 
     def chan(self, src: int, dest: int, vn: int) -> List[MMsg]:
-        return self.chans[(src * self.n + dest) * 3 + vn]
+        return self.chan_at((src * self.n + dest) * 3 + vn)
 
     def route(self, msg: MMsg) -> None:
         """Send ``msg`` the way the MC would."""
         mtype = MsgType[msg.mtype]
         if msg.dest == msg.src and msg.mtype not in _REPLY_NAMES:
             # _deliver_local -> _enqueue_local for non-replies.
-            self.nodes[msg.src]["lmi"].append(msg)
+            self.node(msg.src).lmi.append(msg)
         else:
             # Replies to self take a (src, src) channel: the real MC
             # applies them after a delay, so other events interleave.
@@ -291,6 +350,59 @@ class _Sim:
     # -- handler execution (the real programs) --------------------------
 
     def run_handler(self, node_id: int, msg: MMsg) -> None:
+        """Run the handler for ``msg`` at ``node_id``.
+
+        With the table and bundle fixed, a run depends only on (node,
+        message, home directory entry): registers boot from the layout
+        and protocol memory holds just the home's entry.  So the first
+        run on those inputs is recorded (:meth:`_record`) and every run
+        replays the record's uncached ops through the mirror below, in
+        program order, exactly as the live runner would deliver them.
+        """
+        entry = self.entries[msg.line] if node_id == self.home else None
+        key = (node_id, msg, entry)
+        run = self.runs.get(key)
+        if run is None:
+            run = self.runs[key] = self._record(node_id, msg, entry)
+        latched: Optional[int] = None
+        for op, imm, value in run.ops:
+            if op is POp.SENDH:
+                latched = value
+            elif op is POp.SENDA:
+                if latched is None:
+                    raise ModelViolation(
+                        "send-without-header",
+                        f"{run.name} at node {node_id}: SENDA with no header",
+                    )
+                self._execute_send(node_id, msg, latched)
+                latched = None
+            elif op is POp.PROBE:
+                self._execute_probe(node_id, msg)
+            elif op is POp.COMPLETE:
+                self._apply_reply(node_id, msg)
+            elif op is POp.RESEND:
+                self._resend(node_id, msg.line, as_getx=imm == RESEND_AS_GETX)
+            elif op is POp.MEMWR:
+                if msg.dirty:
+                    self.mems[msg.line] = msg.version
+                    self.mem_sets[msg.line] = True
+                elif not self.mem_sets[msg.line]:
+                    self.mems[msg.line] = msg.version
+                    self.mem_sets[msg.line] = True
+            # AMO: atomics are outside the model's issue alphabet.
+            # SWITCH/LDCTXT: sequencing only.
+        if run.error is not None:
+            raise ModelViolation(
+                "trap", f"{run.name} at node {node_id}: {run.error}"
+            )
+        if entry is not None:
+            self.entries[msg.line] = run.entry
+
+    def _record(self, node_id: int, msg: MMsg, entry: Optional[int]) -> _Run:
+        """Execute the real handler program through ``FunctionalRunner``
+        and record its uncached ops.  The mirror never feeds a value
+        back into the program, so recording first and replaying after
+        is the same as acting on each op as it is issued."""
         if msg.mtype == "L2_PROBE_REPLY":
             probe = (
                 self.bundle.probe_dispatch if self.bundle else PROBE_DISPATCH
@@ -303,51 +415,20 @@ class _Sim:
         regs[HDR] = incoming_header(self._to_message(msg))
         dir_addr = self.layout.dir_entry_addr(line_addr(msg.line))
         pmem: Dict[int, int] = {}
-        if node_id == self.home:
-            pmem[dir_addr] = self.entries[msg.line]
-
-        latched: List[Optional[int]] = [None]
-
-        def on_uncached(instr, value: int) -> None:
-            op = instr.op
-            if op is POp.SENDH:
-                latched[0] = value
-            elif op is POp.SENDA:
-                if latched[0] is None:
-                    raise ModelViolation(
-                        "send-without-header",
-                        f"{name} at node {node_id}: SENDA with no header",
-                    )
-                self._execute_send(node_id, msg, latched[0])
-                latched[0] = None
-            elif op is POp.PROBE:
-                self._execute_probe(node_id, msg)
-            elif op is POp.COMPLETE:
-                self._apply_reply(node_id, msg)
-            elif op is POp.RESEND:
-                self._resend(
-                    node_id, msg.line, as_getx=instr.imm == RESEND_AS_GETX
-                )
-            elif op is POp.MEMWR:
-                if msg.dirty:
-                    self.mems[msg.line] = msg.version
-                    self.mem_sets[msg.line] = True
-                elif not self.mem_sets[msg.line]:
-                    self.mems[msg.line] = msg.version
-                    self.mem_sets[msg.line] = True
-            elif op is POp.AMO:
-                pass  # atomics are outside the model's issue alphabet
-            # SWITCH/LDCTXT: sequencing only.
-
+        if entry is not None:
+            pmem[dir_addr] = entry
+        ops: List[Tuple[POp, int, int]] = []
         runner = FunctionalRunner(
-            regs, lambda a: pmem.get(a, 0), pmem.__setitem__, on_uncached
+            regs, lambda a: pmem.get(a, 0), pmem.__setitem__,
+            lambda instr, value: ops.append((instr.op, instr.imm, value)),
         )
+        error = None
         try:
             runner.run(self.table[name])
         except ProtocolError as exc:
-            raise ModelViolation("trap", f"{name} at node {node_id}: {exc}")
-        if node_id == self.home:
-            self.entries[msg.line] = pmem.get(dir_addr, self.entries[msg.line])
+            error = str(exc)
+        final = pmem[dir_addr] if entry is not None else None
+        return _Run(name, tuple(ops), final, error)
 
     def _to_message(self, msg: MMsg) -> Message:
         m = Message(
@@ -380,25 +461,27 @@ class _Sim:
         kind = _PROBE_KINDS[probe_kind]
         line = ctx_msg.line
         node = self.nodes[node_id]
-        if node["wb_pending"][line]:
+        if node.wb_pending[line]:
             # Writeback-buffer hit (hierarchy.probe): our PUT is in
             # flight and unacknowledged, so the intervention targets
             # the written-back copy.  Answer miss.
             self._probe_reply(node_id, ctx_msg, False, False, 0)
             return
-        mshr: Optional[MShr] = node["mshrs"][line]
+        mshr: Optional[MShr] = node.mshrs[line]
         if mshr is not None and not self._complete(mshr):
             if kind == "inval":
-                if node["caches"][line] == "":
+                if node.caches[line] == "":
                     # Stale INVAL racing our re-fetch: early-ack, and
                     # discard a non-writable fill afterwards.
-                    node["mshrs"][line] = mshr._replace(inval_after_fill=True)
+                    self.node(node_id).mshrs[line] = mshr._replace(
+                        inval_after_fill=True
+                    )
                     self._probe_reply(node_id, ctx_msg, False, False, 0)
                     return
                 # INVAL racing an in-flight upgrade hits the
                 # still-present SHARED copy immediately.
             else:
-                node["mshrs"][line] = mshr._replace(
+                self.node(node_id).mshrs[line] = mshr._replace(
                     deferred=mshr.deferred + (ctx_msg,)
                 )
                 return
@@ -408,25 +491,26 @@ class _Sim:
     def _do_probe(
         self, node_id: int, line: int, kind: str
     ) -> Tuple[bool, bool, int]:
-        node = self.nodes[node_id]
-        if node["caches"][line] == "":
+        state = self.nodes[node_id].caches[line]
+        if state == "":
             return False, False, 0
-        if kind == "inval" and node["caches"][line] in ("E", "M"):
+        if kind == "inval" and state in ("E", "M"):
             # Stale INVAL: a later transaction made us owner.  Ack and
             # keep the copy.
             return False, False, 0
-        dirty = node["caches"][line] == "M"
-        version = node["versions"][line]
+        node = self.node(node_id)
+        dirty = state == "M"
+        version = node.versions[line]
         if kind in ("inval", "inval_owner"):
-            node["caches"][line] = ""
+            node.caches[line] = ""
         else:  # downgrade
-            node["caches"][line] = "S"
+            node.caches[line] = "S"
         return True, dirty, version
 
     def _probe_reply(
         self, node_id: int, origin: MMsg, found: bool, dirty: bool, version: int
     ) -> None:
-        self.nodes[node_id]["probes"].append(MMsg(
+        self.node(node_id).probes.append(MMsg(
             "L2_PROBE_REPLY", src=origin.src, dest=node_id,
             requester=origin.requester, version=version, dirty=dirty,
             found=found, probe_kind=origin.mtype, line=origin.line,
@@ -451,30 +535,30 @@ class _Sim:
             self._refill(node_id, line, True, msg.version, msg.acks, msg.dirty)
         elif mtype == "UPGRADE_ACK":
             node = self.nodes[node_id]
-            if node["mshrs"][line] is None:
+            if node.mshrs[line] is None:
                 raise ModelViolation(
                     "reply-no-mshr", f"node {node_id}: upgrade ack, no MSHR"
                 )
-            version = node["versions"][line] if node["caches"][line] else 0
+            version = node.versions[line] if node.caches[line] else 0
             self._data_reply(node_id, line, version, True, msg.acks)
             self._maybe_complete(node_id, line, dirty=False)
         elif mtype == "INV_ACK":
-            node = self.nodes[node_id]
-            if node["mshrs"][line] is None:
+            node = self.node(node_id)
+            if node.mshrs[line] is None:
                 raise ModelViolation(
                     "reply-no-mshr", f"node {node_id}: inval ack, no MSHR"
                 )
-            node["mshrs"][line] = node["mshrs"][line]._replace(
-                pending_acks=node["mshrs"][line].pending_acks - 1
+            node.mshrs[line] = node.mshrs[line]._replace(
+                pending_acks=node.mshrs[line].pending_acks - 1
             )
             self._maybe_complete(node_id, line, dirty=False)
         elif mtype == "WB_ACK":
-            node = self.nodes[node_id]
-            node["wb_pending"][line] = False
-            mshr = node["mshrs"][line]
+            node = self.node(node_id)
+            node.wb_pending[line] = False
+            mshr = node.mshrs[line]
             if mshr is not None and mshr.unissued:
                 # The parked miss issues now (hierarchy.wb_ack).
-                node["mshrs"][line] = mshr._replace(unissued=False)
+                node.mshrs[line] = mshr._replace(unissued=False)
                 self._request(node_id, line)
         elif mtype == "NACK":
             self._resend(node_id, line, as_getx=False)
@@ -488,12 +572,12 @@ class _Sim:
         acks: int, dirty: bool,
     ) -> None:
         node = self.nodes[node_id]
-        if node["mshrs"][line] is None:
+        if node.mshrs[line] is None:
             raise ModelViolation(
                 "refill-no-mshr", f"node {node_id}: refill with no MSHR"
             )
         self._data_reply(node_id, line, version, writable, acks)
-        mshr = node["mshrs"][line]
+        mshr = self.nodes[node_id].mshrs[line]
         if mshr.upgrade_pending and mshr.data_arrived and not writable:
             self._convert_to_upgrade(node_id, line)
             return
@@ -502,68 +586,67 @@ class _Sim:
     def _data_reply(
         self, node_id: int, line: int, version: int, writable: bool, acks: int
     ) -> None:
-        mshr = self.nodes[node_id]["mshrs"][line]
+        node = self.node(node_id)
+        mshr = node.mshrs[line]
         upgrade_pending = mshr.upgrade_pending and not writable
-        self.nodes[node_id]["mshrs"][line] = mshr._replace(
+        node.mshrs[line] = mshr._replace(
             data_arrived=True, version=version, writable=writable,
             pending_acks=mshr.pending_acks + acks,
             upgrade_pending=upgrade_pending,
         )
 
     def _convert_to_upgrade(self, node_id: int, line: int) -> None:
-        node = self.nodes[node_id]
-        mshr = node["mshrs"][line]
-        if node["caches"][line] == "":
-            node["caches"][line] = "S"
-            node["versions"][line] = mshr.version
-        node["mshrs"][line] = mshr._replace(
+        node = self.node(node_id)
+        mshr = node.mshrs[line]
+        if node.caches[line] == "":
+            node.caches[line] = "S"
+            node.versions[line] = mshr.version
+        node.mshrs[line] = mshr._replace(
             kind="write", upgrade_pending=False, request_upgrade=True,
             data_arrived=False, writable=False,
         )
         self._request(node_id, line)
 
     def _maybe_complete(self, node_id: int, line: int, dirty: bool) -> None:
-        node = self.nodes[node_id]
-        mshr = node["mshrs"][line]
+        mshr = self.nodes[node_id].mshrs[line]
         if not self._complete(mshr):
             return
+        node = self.node(node_id)
         if mshr.request_upgrade:
-            if node["caches"][line] == "":
+            if node.caches[line] == "":
                 raise ModelViolation(
                     "upgrade-lost-copy",
                     f"node {node_id}: upgrade completed but the pinned "
                     "SHARED copy is gone",
                 )
-            node["caches"][line] = "M" if dirty else "E"
+            node.caches[line] = "M" if dirty else "E"
         else:
             state = "M" if dirty else ("E" if mshr.writable else "S")
-            if node["caches"][line] == "":
-                node["caches"][line] = state
-                node["versions"][line] = mshr.version
-            elif state in ("E", "M") and node["caches"][line] == "S":
+            if node.caches[line] == "":
+                node.caches[line] = state
+                node.versions[line] = mshr.version
+            elif state in ("E", "M") and node.caches[line] == "S":
                 # A lost upgrade retried as a full GETX: promote.
-                node["caches"][line] = state
-                node["versions"][line] = max(
-                    node["versions"][line], mshr.version
-                )
-        node["mshrs"][line] = None
+                node.caches[line] = state
+                node.versions[line] = max(node.versions[line], mshr.version)
+        node.mshrs[line] = None
         for _ in range(mshr.stores):
             self._commit_store(node_id, line)
-        if mshr.inval_after_fill and node["caches"][line] == "S":
-            node["caches"][line] = ""  # the early-acked INVAL lands now
+        if mshr.inval_after_fill and node.caches[line] == "S":
+            node.caches[line] = ""  # the early-acked INVAL lands now
         for probe in mshr.deferred:
             kind = _PROBE_KINDS[probe.mtype]
             found, dty, version = self._do_probe(node_id, probe.line, kind)
             self._probe_reply(node_id, probe, found, dty, version)
 
     def _resend(self, node_id: int, line: int, as_getx: bool) -> None:
-        node = self.nodes[node_id]
-        mshr = node["mshrs"][line]
+        mshr = self.nodes[node_id].mshrs[line]
         if mshr is None:
             return  # stale NACK: transaction already completed
+        node = self.node(node_id)
         if as_getx:
             mshr = mshr._replace(request_upgrade=False)
-            node["mshrs"][line] = mshr
+            node.mshrs[line] = mshr
         if mshr.request_upgrade:
             mtype = "UPGRADE"
         elif mshr.kind == "write":
@@ -574,7 +657,7 @@ class _Sim:
             mtype, src=node_id, dest=self.home, requester=node_id, line=line
         )
         if self.home == node_id:
-            node["lmi"].append(msg)
+            node.lmi.append(msg)
         else:
             self.chan(node_id, self.home, 0).append(msg)
 
@@ -584,10 +667,10 @@ class _Sim:
         """Mirror of hierarchy._issue_app_miss + MC.app_miss: compose
         the request for the current MSHR and enqueue it locally — or
         park it while our PUT for the line is unacknowledged."""
-        node = self.nodes[node_id]
-        mshr = node["mshrs"][line]
-        if node["wb_pending"][line]:
-            node["mshrs"][line] = mshr._replace(unissued=True)
+        node = self.node(node_id)
+        mshr = node.mshrs[line]
+        if node.wb_pending[line]:
+            node.mshrs[line] = mshr._replace(unissued=True)
             return
         if mshr.request_upgrade:
             mtype = "UPGRADE"
@@ -595,79 +678,79 @@ class _Sim:
             mtype = "GETX"
         else:
             mtype = "GET"
-        node["lmi"].append(MMsg(
+        node.lmi.append(MMsg(
             mtype, src=node_id, dest=self.home, requester=node_id, line=line
         ))
 
     def _commit_store(self, node_id: int, line: int) -> None:
-        node = self.nodes[node_id]
+        node = self.node(node_id)
         count = self.counts[line] + 1
-        version = node["versions"][line] + 1
+        version = node.versions[line] + 1
         failure = inv.check_store(
             node_id,
-            node["caches"][line] in ("E", "M"),
+            node.caches[line] in ("E", "M"),
             version,
             count,
             [
                 other_id for other_id, other in enumerate(self.nodes)
-                if other_id != node_id and other["caches"][line] in ("E", "M")
+                if other_id != node_id and other.caches[line] in ("E", "M")
             ],
         )
         if failure is not None:
             raise _violation(failure, line)
         self.counts[line] = count
-        node["versions"][line] = version
-        node["caches"][line] = "M"
+        node.versions[line] = version
+        node.caches[line] = "M"
 
     def issue_load(self, node_id: int, line: int) -> None:
-        node = self.nodes[node_id]
-        node["loads"] -= 1
-        node["mshrs"][line] = MShr(kind="read")
+        node = self.node(node_id)
+        node.loads -= 1
+        node.mshrs[line] = MShr(kind="read")
         self._request(node_id, line)
 
     def issue_store(self, node_id: int, line: int) -> str:
-        node = self.nodes[node_id]
-        node["stores"] -= 1
-        mshr = node["mshrs"][line]
+        node = self.node(node_id)
+        node.stores -= 1
+        mshr = node.mshrs[line]
         if mshr is not None:
             # Merge onto the in-flight read: ownership upgrade follows
             # the (possibly SHARED) fill.
-            node["mshrs"][line] = mshr._replace(
+            node.mshrs[line] = mshr._replace(
                 upgrade_pending=True, stores=mshr.stores + 1
             )
             return "merge"
-        if node["caches"][line] in ("E", "M"):
+        if node.caches[line] in ("E", "M"):
             self._commit_store(node_id, line)
             return "hit"
-        if node["caches"][line] == "S":
-            node["mshrs"][line] = MShr(
+        if node.caches[line] == "S":
+            node.mshrs[line] = MShr(
                 kind="write", request_upgrade=True, stores=1
             )
             self._request(node_id, line)
             return "upgrade"
-        node["mshrs"][line] = MShr(kind="write", stores=1)
+        node.mshrs[line] = MShr(kind="write", stores=1)
         self._request(node_id, line)
         return "miss"
 
     def evict(self, node_id: int, line: int) -> None:
-        node = self.nodes[node_id]
-        dirty = node["caches"][line] == "M"
-        version = node["versions"][line]
-        node["caches"][line] = ""
-        node["wb_pending"][line] = True
+        node = self.node(node_id)
+        dirty = node.caches[line] == "M"
+        version = node.versions[line]
+        node.caches[line] = ""
+        node.wb_pending[line] = True
         msg = MMsg(
             "PUT", src=node_id, dest=self.home, requester=node_id,
             version=version, dirty=dirty, line=line,
         )
         if self.home == node_id:
-            node["lmi"].append(msg)
+            node.lmi.append(msg)
         else:
             self.chan(
                 node_id, self.home, virtual_network(MsgType.PUT)
             ).append(msg)
 
     def drop(self, node_id: int, line: int) -> None:
-        self.nodes[node_id]["caches"][line] = ""
+        self.node(node_id).caches[line] = ""
 
 
 # ----------------------------------------------------------------------
@@ -744,27 +827,36 @@ def _store_issuable(node: MNode, line: int) -> bool:
 
 
 def successors(
-    st: MState, layout: DirectoryLayout, table: HandlerTable, bundle=None
+    st: MState, layout: DirectoryLayout, table: HandlerTable, bundle=None,
+    runs: Optional[Dict] = None,
 ) -> List[Tuple[str, MState]]:
     """All (label, next-state) pairs from ``st``.
 
-    Raises ModelViolation (with no trace attached — the caller knows
-    the path) if applying a transition breaks an invariant.
+    Raises ModelViolation if a transition faults while it fires (a
+    trap, a failed ``check_store``, a send without a header).  The
+    exception carries the transition's ``label`` and, as ``partial``,
+    the pairs generated before it; the caller knows the path.  Whole
+    state invariants are not evaluated here: :meth:`Search.expand`
+    checks each new state once, when it is admitted.
+
+    ``runs`` is the search's handler-run memo (see
+    :meth:`_Sim.run_handler`); None starts a fresh one.
     """
     out: List[Tuple[str, MState]] = []
     n = len(st.nodes)
     n_lines = len(st.entries)
+    if runs is None:
+        runs = {}
 
     def apply(label: str, fn) -> None:
-        sim = _Sim(st, layout, table, bundle)
+        sim = _Sim(st, layout, table, bundle, runs)
         try:
             fn(sim)
-            nxt = sim.freeze()
-            check_state(nxt, n)
         except ModelViolation as exc:
             exc.label = label  # type: ignore[attr-defined]
+            exc.partial = out  # type: ignore[attr-defined]
             raise
-        out.append((label, nxt))
+        out.append((label, sim.freeze()))
 
     for i, node in enumerate(st.nodes):
         # Issue alphabet.
@@ -786,7 +878,7 @@ def successors(
             msg = node.probes[0]
 
             def fire_probe(s, i=i):
-                m = s.nodes[i]["probes"].pop(0)
+                m = s.node(i).probes.pop(0)
                 s.run_handler(i, m)
 
             apply(
@@ -798,7 +890,7 @@ def successors(
             msg = node.lmi[0]
 
             def fire_lmi(s, i=i):
-                m = s.nodes[i]["lmi"].pop(0)
+                m = s.node(i).lmi.pop(0)
                 s.run_handler(i, m)
 
             apply(
@@ -812,7 +904,7 @@ def successors(
                 msg = st.chans[ci][0]
 
                 def fire_net(s, ci=ci, i=i):
-                    m = s.chans[ci].pop(0)
+                    m = s.chan_at(ci).pop(0)
                     s.run_handler(i, m)
 
                 apply(
@@ -908,20 +1000,19 @@ def count_enabled(st: MState) -> int:
 
 def _apply_probe_dispatch(
     st: MState, i: int, layout: DirectoryLayout, table: HandlerTable,
-    bundle=None,
+    bundle=None, runs: Optional[Dict] = None,
 ) -> Tuple[str, MState]:
     msg = st.nodes[i].probes[0]
     label = f"n{i}: dispatch {msg.probe_kind} reply L{msg.line}"
-    sim = _Sim(st, layout, table, bundle)
+    sim = _Sim(st, layout, table, bundle, runs)
     try:
-        m = sim.nodes[i]["probes"].pop(0)
+        m = sim.node(i).probes.pop(0)
         sim.run_handler(i, m)
-        nxt = sim.freeze()
-        check_state(nxt, len(st.nodes))
     except ModelViolation as exc:
         exc.label = label  # type: ignore[attr-defined]
+        exc.partial = []  # type: ignore[attr-defined]
         raise
-    return label, nxt
+    return label, sim.freeze()
 
 
 def expand(
@@ -930,19 +1021,20 @@ def expand(
     table: HandlerTable,
     por: bool = True,
     bundle=None,
+    runs: Optional[Dict] = None,
 ) -> Tuple[List[Tuple[str, MState]], int]:
     """Successors of ``st`` under the (optional) ample-set reduction.
 
     Returns ``(pairs, pruned)`` where ``pruned`` counts the enabled
     transitions that were *not* applied because a singleton ample set
-    stood in for them.
+    stood in for them.  Faults raise as in :func:`successors`.
     """
     if por:
         i = ample_probe(st, home=0)
         if i is not None:
-            pair = _apply_probe_dispatch(st, i, layout, table, bundle)
+            pair = _apply_probe_dispatch(st, i, layout, table, bundle, runs)
             return [pair], count_enabled(st) - 1
-    return successors(st, layout, table, bundle), 0
+    return successors(st, layout, table, bundle, runs), 0
 
 
 # ----------------------------------------------------------------------
@@ -960,6 +1052,114 @@ def root_entry(st: MState) -> Entry:
     return (st, (), sym.identity(len(st.nodes)), sym.identity(len(st.entries)))
 
 
+def _traced(exc: ModelViolation, label: str, entry: Entry) -> Violation:
+    """``exc``, raised by transition ``label`` out of ``entry``'s
+    canonical frame, as a violation in the original frame."""
+    _, trace, sig, lam = entry
+    return Violation(
+        exc.code, exc.status, sym.remap_label(str(exc), sig, lam),
+        trace + (sym.remap_label(label, sig, lam),),
+    )
+
+
+class Search:
+    """Successor generation and admission for one search.
+
+    Every explorer — the in-memory BFS, the pooled pre-expansion in
+    :func:`check_model` and a disk frontier shard — expands its entries
+    through one instance.  The instance owns the search's memos: the
+    canonicalizer's component keys and the recorded handler runs
+    (:meth:`_Sim.run_handler`).  Both go when the instance does.
+    """
+
+    def __init__(
+        self,
+        root: MState,
+        layout: DirectoryLayout,
+        table: HandlerTable,
+        bundle=None,
+        reduce_sym: bool = True,
+        reduce_por: bool = True,
+    ):
+        self.layout = layout
+        self.table = table
+        self.bundle = bundle
+        self.reduce_por = reduce_por
+        self.n = len(root.nodes)
+        self.ids = (sym.identity(self.n), sym.identity(len(root.entries)))
+        self.canon = (
+            sym.Canonicalizer(self.n, len(root.entries)) if reduce_sym
+            else None
+        )
+        self.runs: Dict = {}
+
+    def expand(
+        self, entry: Entry, known, ident=None,
+    ) -> Tuple[List[Tuple[Entry, int, object]], int, int, Optional[Violation]]:
+        """Expand ``entry`` and admit its new successors.
+
+        A successor is new when its identity — ``ident(canonical,
+        key)``, by default the canonical state itself — is not in
+        ``known`` and no earlier successor of ``entry`` shares it.
+        Each new successor is checked with :func:`check_state` here, the
+        only place invariants over whole states are evaluated.  That is
+        sound: every known state was checked when it was admitted, and
+        the invariants are closed under the renamings the canonicalizer
+        applies.
+
+        Returns ``(kids, n_succ, pruned, violation)``: ``kids`` holds
+        ``(child entry, orbit size, identity)`` per new successor in
+        successor order, and ``n_succ`` counts every successor.  The
+        first violation in successor order wins, whether a transition
+        faulted while firing or a new state failed its check; then
+        ``kids`` is empty and the counts are zero, so the expansion
+        adds nothing.
+        """
+        st, trace, sig, lam = entry
+        try:
+            succ, pruned = expand(
+                st, self.layout, self.table, por=self.reduce_por,
+                bundle=self.bundle, runs=self.runs,
+            )
+            fault = None
+        except ModelViolation as exc:
+            succ, pruned, fault = exc.partial, 0, exc  # type: ignore[attr-defined]
+        kids = []
+        fresh = set()
+        entries = st.entries
+        for label, nxt in succ:
+            try:
+                # The canonicalizer renames the node ids an entry
+                # holds, so an entry naming no real node is reported
+                # before it gets there.  No known state holds such an
+                # entry, so check_state would reach this one anyway.
+                if nxt.entries != entries and any(
+                    e != e0 and inv.check_entry(e, self.n)
+                    for e, e0 in zip(nxt.entries, entries)
+                ):
+                    check_state(nxt, self.n)
+                if self.canon is not None:
+                    cnxt, rho_s, rho_l, orbit, key = self.canon(nxt)
+                else:
+                    cnxt, (rho_s, rho_l), orbit, key = nxt, self.ids, 1, None
+                idn = cnxt if ident is None else ident(cnxt, key)
+                if idn in known or idn in fresh:
+                    continue
+                fresh.add(idn)
+                check_state(nxt, self.n)
+            except ModelViolation as exc:
+                return [], 0, 0, _traced(exc, label, entry)
+            kids.append(((
+                cnxt,
+                trace + (sym.remap_label(label, sig, lam),),
+                sym.compose(sig, sym.invert(rho_s)),
+                sym.compose(lam, sym.invert(rho_l)),
+            ), orbit, idn))
+        if fault is not None:
+            return [], 0, 0, _traced(fault, fault.label, entry)  # type: ignore[attr-defined]
+        return kids, len(succ), pruned, None
+
+
 def _bfs(
     roots: List[Entry],
     layout: DirectoryLayout,
@@ -972,54 +1172,35 @@ def _bfs(
 ) -> ExploreResult:
     visited = {st for st, _, _, _ in roots}
     frontier = deque(roots)
-    root = roots[0][0]
-    canon = sym.Canonicalizer(len(root.nodes), len(root.entries))
+    search = Search(
+        roots[0][0], layout, table, bundle, reduce_sym, reduce_por
+    )
     transitions = 0
     pruned = 0
     sym_states = len(visited)  # roots are symmetric or pre-canonical
     truncated = False
     max_depth = 0
     while frontier:
-        st, trace, sig, lam = frontier.popleft()
-        max_depth = max(max_depth, len(trace))
-        if depth is not None and len(trace) >= depth:
+        entry = frontier.popleft()
+        max_depth = max(max_depth, len(entry[1]))
+        if depth is not None and len(entry[1]) >= depth:
             truncated = True
             continue
-        try:
-            succ, pr = expand(st, layout, table, por=reduce_por, bundle=bundle)
-        except ModelViolation as exc:
-            label = sym.remap_label(getattr(exc, "label", "?"), sig, lam)
+        kids, n_succ, pr, violation = search.expand(entry, visited)
+        if violation is not None:
             return ExploreResult(
-                len(visited), transitions, truncated,
-                Violation(
-                    exc.code, exc.status,
-                    sym.remap_label(str(exc), sig, lam),
-                    trace + (label,),
-                ),
+                len(visited), transitions, truncated, violation,
                 sym_states, pruned, max_depth,
             )
+        transitions += n_succ
         pruned += pr
-        for label, nxt in succ:
-            transitions += 1
-            if reduce_sym:
-                cnxt, rho_s, rho_l, orbit, _ = canon(nxt)
-            else:
-                cnxt, orbit = nxt, 1
-                rho_s = sym.identity(len(st.nodes))
-                rho_l = sym.identity(len(st.entries))
-            if cnxt in visited:
-                continue
+        for child, orbit, _ in kids:
             if len(visited) >= max_states:
                 truncated = True
-                continue
-            visited.add(cnxt)
+                break
+            visited.add(child[0])
             sym_states += orbit
-            frontier.append((
-                cnxt,
-                trace + (sym.remap_label(label, sig, lam),),
-                sym.compose(sig, sym.invert(rho_s)),
-                sym.compose(lam, sym.invert(rho_l)),
-            ))
+            frontier.append(child)
     return ExploreResult(
         len(visited), transitions, truncated, None,
         sym_states, pruned, max_depth,
@@ -1134,48 +1315,29 @@ def check_model(
         )
 
     # Inline expansion until the frontier is wide enough to partition.
-    canon = sym.Canonicalizer(n_nodes, n_lines)
+    search = Search(init, layout, table, bundle, reduce_sym, reduce_por)
     visited = {init}
     frontier: deque = deque([root_entry(init)])
     transitions = 0
     pruned = 0
     sym_states = 1
     while frontier and len(frontier) < 4 * jobs and len(visited) < 4096:
-        st, trace, sig, lam = frontier.popleft()
-        if depth is not None and len(trace) >= depth:
-            frontier.append((st, trace, sig, lam))
+        entry = frontier.popleft()
+        if depth is not None and len(entry[1]) >= depth:
+            frontier.append(entry)
             break
-        try:
-            succ, pr = expand(st, layout, table, por=reduce_por, bundle=bundle)
-        except ModelViolation as exc:
-            label = sym.remap_label(getattr(exc, "label", "?"), sig, lam)
+        kids, n_succ, pr, violation = search.expand(entry, visited)
+        if violation is not None:
             return ExploreResult(
-                len(visited), transitions, False,
-                Violation(
-                    exc.code, exc.status,
-                    sym.remap_label(str(exc), sig, lam),
-                    trace + (label,),
-                ),
-                sym_states, pruned, len(trace) + 1,
+                len(visited), transitions, False, violation,
+                sym_states, pruned, len(entry[1]) + 1,
             )
+        transitions += n_succ
         pruned += pr
-        for label, nxt in succ:
-            transitions += 1
-            if reduce_sym:
-                cnxt, rho_s, rho_l, orbit, _ = canon(nxt)
-            else:
-                cnxt, orbit = nxt, 1
-                rho_s = sym.identity(n_nodes)
-                rho_l = sym.identity(n_lines)
-            if cnxt not in visited:
-                visited.add(cnxt)
-                sym_states += orbit
-                frontier.append((
-                    cnxt,
-                    trace + (sym.remap_label(label, sig, lam),),
-                    sym.compose(sig, sym.invert(rho_s)),
-                    sym.compose(lam, sym.invert(rho_l)),
-                ))
+        for child, orbit, _ in kids:
+            visited.add(child[0])
+            sym_states += orbit
+            frontier.append(child)
     if not frontier:
         return ExploreResult(
             len(visited), transitions, False, None, sym_states, pruned, 0
@@ -1198,10 +1360,10 @@ def check_model(
                 "reduce_por": reduce_por,
                 "bundle": bundle,
             }))
-    outcomes: List[Dict[str, object]] = []
+    outcomes: Dict[int, Dict[str, object]] = {}
 
     def on_done(ident, payload, outcome, elapsed, attempts) -> None:
-        outcomes.append(outcome or {"_pool_status": "crashed"})
+        outcomes[ident] = outcome or {"_pool_status": "crashed"}
 
     pool_map(pending, _explore_payload, jobs=jobs, on_done=on_done)
 
@@ -1209,7 +1371,9 @@ def check_model(
     truncated = False
     violation: Optional[Violation] = None
     max_depth = 0
-    for outcome in outcomes:
+    # In worker order, so ties between equally short violations
+    # do not depend on which worker finished first.
+    for _, outcome in sorted(outcomes.items()):
         if outcome.get("_pool_status"):
             raise ConfigError(
                 f"model-check worker failed: {outcome['_pool_status']}"
