@@ -1092,6 +1092,15 @@ class Search:
             else None
         )
         self.runs: Dict = {}
+        #: ``(label, σ, λ) -> remapped label`` (:func:`sym.remap_label`).
+        self.labels: Dict = {}
+
+    def remap_label(self, label: str, sig: sym.Perm, lam: sym.Perm) -> str:
+        key = (label, sig, lam)
+        out = self.labels.get(key)
+        if out is None:
+            out = self.labels[key] = sym.remap_label(label, sig, lam)
+        return out
 
     def expand(
         self, entry: Entry, known, ident=None,
@@ -1151,7 +1160,7 @@ class Search:
                 return [], 0, 0, _traced(exc, label, entry)
             kids.append(((
                 cnxt,
-                trace + (sym.remap_label(label, sig, lam),),
+                trace + (self.remap_label(label, sig, lam),),
                 sym.compose(sig, sym.invert(rho_s)),
                 sym.compose(lam, sym.invert(rho_l)),
             ), orbit, idn))

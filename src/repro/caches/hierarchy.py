@@ -125,6 +125,11 @@ PROTO_SPACE_BIT = 1 << 56
 ICODE_SPACE_BIT = 1 << 55
 
 
+def is_app_line(line_addr: int) -> bool:
+    """Application data: neither protocol space nor application code."""
+    return not line_addr & (PROTO_SPACE_BIT | ICODE_SPACE_BIT)
+
+
 class CacheHierarchy:
     def __init__(self, node_id: int, mp: MachineParams, stats: NodeStats) -> None:
         self.node_id = node_id
@@ -512,9 +517,7 @@ class CacheHierarchy:
 
     def cached_app_lines(self) -> Dict[int, CacheState]:
         return {
-            la: st
-            for la, st in self.l2.contents().items()
-            if not is_protocol_space(la) and not la & ICODE_SPACE_BIT
+            la: st for la, st in self.l2.contents().items() if is_app_line(la)
         }
 
     # ------------------------------------------------------------------

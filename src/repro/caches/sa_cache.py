@@ -61,6 +61,13 @@ class SetAssocCache:
             [CacheLine() for _ in range(params.assoc)] for _ in range(params.n_sets)
         ]
         self._tick = 0
+        #: ``{line address: line}`` of every valid line, kept live by
+        #: :meth:`install`, :meth:`invalidate` and :meth:`flush` once
+        #: :meth:`index_valid_lines` turns it on (the L2s of a sanitized
+        #: machine, whose sweep walks it).  ``None`` on every other
+        #: cache, where keeping it costs one ``None`` test per fill or
+        #: invalidation.
+        self.valid_index: Optional[Dict[int, CacheLine]] = None
 
     # -- addressing -----------------------------------------------------
     def line_addr(self, addr: int) -> int:
@@ -136,6 +143,12 @@ class SetAssocCache:
         line = self.victim(addr)
         if line is None:
             raise RuntimeError(f"{self.name}: no victim available for {addr:#x}")
+        index = self.valid_index
+        if index is not None:
+            if line.state is not CacheState.INVALID:
+                # The victim is replaced in place, not invalidated.
+                del index[line.tag << self.line_shift]
+            index[addr >> self.line_shift << self.line_shift] = line
         line.tag = self._tag(addr)
         line.state = state
         line.dirty = dirty
@@ -157,6 +170,8 @@ class SetAssocCache:
         snapshot.dirty = line.dirty
         snapshot.version = line.version
         snapshot.protocol = line.protocol
+        if self.valid_index is not None:
+            del self.valid_index[line.tag << self.line_shift]
         line.invalidate()
         return snapshot
 
@@ -177,12 +192,14 @@ class SetAssocCache:
                 if line.valid:
                     sink(self.line_address_of(line), line)
                     line.invalidate()
+        if self.valid_index is not None:
+            self.valid_index.clear()
 
     def contents(self) -> Dict[int, CacheState]:
         """``{line address: state}`` for every valid line, in set/way
-        order.  One flat comprehension with the ``valid`` test and the
-        address computation inlined: the sanitizer's sweep calls this
-        on every node's L2 every ``sanitize_interval`` cycles."""
+        order: a scan of every way.  The sanitizer's sweep reads
+        :attr:`valid_index` instead and comes here only to re-derive
+        the first violation of a sweep that failed."""
         shift = self.line_shift
         invalid = CacheState.INVALID
         return {
@@ -190,4 +207,10 @@ class SetAssocCache:
             for cache_set in self._sets
             for line in cache_set
             if line.state is not invalid
+        }
+
+    def index_valid_lines(self) -> None:
+        """Turn on :attr:`valid_index`, seeded from the current lines."""
+        self.valid_index = {
+            line.tag << self.line_shift: line for line in self.valid_lines()
         }

@@ -12,8 +12,8 @@ or would report a corpse with no trail.
   node (``MachineParams.check_coherence`` or ``sanitize``):
   ``check_store``.
 * Per sweep, every ``sanitize_interval`` cycles (``sanitize`` only):
-  ``check_swmr`` and ``check_entry`` in one pass over each node's
-  ``cached_app_lines()``; MSHR/queue/bypass occupancy accounting; and
+  ``check_swmr`` and ``check_entry`` on every cached app line;
+  MSHR/queue/bypass occupancy accounting; and
   a livelock watchdog — an MSHR entry outstanding for more than
   ``watchdog_cycles`` is starving even if handlers keep firing (a NACK
   storm the commit watchdog cannot see), reported as a
@@ -26,19 +26,33 @@ or would report a corpse with no trail.
 
 With both flags off the machine has no sanitizer and its step path is
 untouched (zero overhead).
+
+The sweep costs per cached line, not per L2 way.  With ``sanitize``
+each L2 keeps a live index of its valid lines
+(``SetAssocCache.valid_index``, maintained by ``install``,
+``invalidate`` and ``flush``; ``None`` on every other cache), and the
+sweep walks it, reading each line's state and directory word live.
+Per line it memoizes the home's ``pmem`` and the entry address, and it
+remembers the entry words ``check_entry`` has passed.  A sweep that
+finds a failure re-derives it with the scan of every way in set/way
+order (``cached_app_lines()``), so it reports the same first violation
+the scan does.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.caches.coherence import CacheState
+from repro.caches.hierarchy import is_app_line
 from repro.common.errors import CoherenceViolation, LivelockError
 from repro.protocol import directory as d
 from repro.protocol import invariants as inv
 
 _WRITABLE = (CacheState.EXCLUSIVE, CacheState.MODIFIED)
+_EXCLUSIVE = CacheState.EXCLUSIVE
+_MODIFIED = CacheState.MODIFIED
 
 
 class Sanitizer:
@@ -59,6 +73,37 @@ class Sanitizer:
         # hierarchy -> the on_store callable we chained onto, so detach
         # can restore it.  Empty while not attached.
         self._chained: Dict[object, object] = {}
+        #: Per node, what :meth:`_check_occupancy` reads: the node id,
+        #: its MSHR file, and ``(buffer, capacity, name)`` of each
+        #: bounded input queue and bypass buffer.
+        self._occupancy = []
+        for node in machine.nodes:
+            h = node.hierarchy
+            bounds = [
+                (queue, queue.capacity, f"queue {queue.name}")
+                for queue in (node.mc.local_queue, *node.mc.ni_in)
+            ] + [
+                (buf, buf.n_lines, f"bypass buffer {buf.name}")
+                for buf in (h.ibypass, h.dbypass, h.l2bypass)
+            ]
+            self._occupancy.append((node.node_id, h.mshrs, bounds))
+        #: ``(node_id, L2)`` per node when the periodic sweep runs: each
+        #: L2 keeps a live index of its valid lines for the sweep to
+        #: walk.  ``None`` otherwise; a sweep then scans every L2 way.
+        self._indexed = None
+        if mp.sanitize:
+            self._indexed = []
+            for node in machine.nodes:
+                node.hierarchy.l2.index_valid_lines()
+                self._indexed.append((node.node_id, node.hierarchy.l2))
+        #: line address -> (home node's ``pmem``, directory-entry
+        #: address); ``()`` for a line outside application space.
+        self._homes: Dict[int, tuple] = {}
+        #: Entry words ``_entry_check`` has passed.  The predicate is
+        #: read from :mod:`~repro.protocol.invariants` on every sweep (a
+        #: test may swap it), and a new one starts an empty set.
+        self._entry_check = None
+        self._entries_ok: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Hook management
@@ -143,12 +188,66 @@ class Sanitizer:
 
     def sweep(self, cycle: int) -> None:
         self.sweeps += 1
+        for occupancy in self._occupancy:
+            self._check_occupancy(*occupancy)
+        if self._indexed is None or not self._lines_pass():
+            self._check_lines()
+        self._check_forward_progress(cycle)
+
+    def _lines_pass(self) -> bool:
+        """``check_swmr`` and ``check_entry`` on every cached app line,
+        walking the L2s' live indexes: True when all pass.  On False
+        :meth:`_check_lines` re-derives the failure, so a sweep reports
+        the same first violation as a scan in set/way order."""
+        homes = self._homes
+        check_entry = inv.check_entry
+        if check_entry is not self._entry_check:
+            self._entry_check = check_entry
+            self._entries_ok = set()
+        entries_ok = self._entries_ok
+        n_nodes = len(self.machine.nodes)
+        writers: Dict[int, List[int]] = {}
+        for node_id, l2 in self._indexed:
+            for la, line in l2.valid_index.items():
+                home = homes.get(la)
+                if home is None:
+                    home = homes[la] = self._home(la)
+                if not home:
+                    continue
+                state = line.state
+                if state is _MODIFIED or state is _EXCLUSIVE:
+                    if la in writers:
+                        writers[la].append(node_id)
+                    else:
+                        writers[la] = [node_id]
+                pmem, entry_addr = home
+                entry = pmem.get(entry_addr, 0)
+                if entry not in entries_ok:
+                    if check_entry(entry, n_nodes) is not None:
+                        return False
+                    entries_ok.add(entry)
+        check_swmr = inv.check_swmr
+        for nodes in writers.values():
+            if check_swmr(nodes) is not None:
+                return False
+        return True
+
+    def _home(self, la: int) -> tuple:
+        if not is_app_line(la):
+            return ()
+        layout = self.machine.layout
+        home = self.machine.nodes[layout.home_of(la)]
+        return home.pmem, layout.dir_entry_addr(la)
+
+    def _check_lines(self) -> None:
+        """``check_swmr``, then ``check_entry``, on every cached app
+        line, in node and set/way order, from a scan of every L2 way;
+        raises the first failure."""
         machine = self.machine
         writers: Dict[int, List[int]] = {}
         cached: Dict[int, None] = {}
         writable = _WRITABLE
         for node in machine.nodes:
-            self._check_occupancy(node)
             for la, state in node.hierarchy.cached_app_lines().items():
                 cached[la] = None
                 if state in writable:
@@ -169,34 +268,24 @@ class Sanitizer:
             )
             if failure is not None:
                 raise self._fail(failure, la)
-        self._check_forward_progress(cycle)
 
-    def _check_occupancy(self, node) -> None:
-        mshrs = node.hierarchy.mshrs
+    def _check_occupancy(self, node_id, mshrs, bounds) -> None:
         used = mshrs._app_used + mshrs._store_used + mshrs._proto_used
         if used != len(mshrs.entries):
             raise CoherenceViolation(
-                f"node {node.node_id}: MSHR accounting drift — class "
+                f"node {node_id}: MSHR accounting drift — class "
                 f"counters say {used}, entry map holds {len(mshrs.entries)}"
             )
         if len(mshrs.entries) > mshrs.total_capacity:
             raise CoherenceViolation(
-                f"node {node.node_id}: {len(mshrs.entries)} MSHRs in use, "
+                f"node {node_id}: {len(mshrs.entries)} MSHRs in use, "
                 f"capacity {mshrs.total_capacity}"
             )
-        mc = node.mc
-        for queue in [mc.local_queue, *mc.ni_in]:
-            if len(queue) > queue.capacity:
+        for buf, capacity, name in bounds:
+            if len(buf) > capacity:
                 raise CoherenceViolation(
-                    f"node {node.node_id}: queue {queue.name} holds "
-                    f"{len(queue)} > capacity {queue.capacity}"
-                )
-        h = node.hierarchy
-        for buf in (h.ibypass, h.dbypass, h.l2bypass):
-            if len(buf) > buf.n_lines:
-                raise CoherenceViolation(
-                    f"node {node.node_id}: bypass buffer {buf.name} holds "
-                    f"{len(buf)} > capacity {buf.n_lines}"
+                    f"node {node_id}: {name} holds {len(buf)} > "
+                    f"capacity {capacity}"
                 )
 
     # ------------------------------------------------------------------

@@ -159,3 +159,36 @@ def test_main_end_to_end_with_stub(capsys):
     assert "median ratio 1.250 change won 1/1" in out
     assert "-> unresolved: 1 pairs, a verdict needs 10" in out
     assert "seed 2: 0 of 1 pairs kept" in out
+
+
+def test_both_sides_run_without_bytecode_caches(monkeypatch):
+    # Each run gets a new, empty cache prefix and writes no bytecode,
+    # so neither checkout's __pycache__ is read or written.
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cwd, dict(env), prefix.is_dir() and not any(
+            prefix.iterdir())))
+        return perf_ab.subprocess.CompletedProcess(cmd, 0, "{}\n", "")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", "/inherited")
+    monkeypatch.setattr(perf_ab.subprocess, "run", fake_run)
+    for checkout in (BASE, CHANGE):
+        assert perf_ab.run_perfbench(checkout, "verify", 1, 25) == "{}\n"
+    (base_cwd, base_env, base_empty), (change_cwd, change_env,
+                                       change_empty) = seen
+    assert (base_cwd, change_cwd) == (str(BASE), str(CHANGE))
+    assert base_empty and change_empty
+    for env in (base_env, change_env):
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        assert prefix != "/inherited"
+        assert not Path(prefix).is_relative_to(ROOT)
+        assert not Path(prefix).exists()  # removed after its run
+    assert base_env["PYTHONPYCACHEPREFIX"] != change_env["PYTHONPYCACHEPREFIX"]
+    # Apart from the prefix the two runs see the same environment.
+    base_env.pop("PYTHONPYCACHEPREFIX")
+    change_env.pop("PYTHONPYCACHEPREFIX")
+    assert base_env == change_env

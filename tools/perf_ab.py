@@ -19,8 +19,13 @@ the metric's ``better`` direction, printed beside it.  Each line ends
 in a verdict: ``gain`` or ``loss`` only when at least ``MIN_PAIRS``
 pairs were kept, the medians differ by more than the base's
 interquartile range, and at least nine in ten pairs agree with the
-median; otherwise ``unresolved`` and why.  The tool only reads the
-checkouts; it writes nothing.
+median; otherwise ``unresolved`` and why.
+
+Every run compiles its imports from source: ``PYTHONDONTWRITEBYTECODE``
+is set and ``PYTHONPYCACHEPREFIX`` points at a new empty directory, so
+no run reads or writes a checkout's ``__pycache__`` and a checkout that
+holds one times the same as a checkout that does not.  The tool writes
+nothing into the checkouts.
 
 Exit status: 0 when every seed kept at least one pair, 1 otherwise.
 
@@ -34,9 +39,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,14 +55,25 @@ Runner = Callable[[Path, str, int, int], str]
 MIN_PAIRS = 10
 
 
+def run_env(pycache: str) -> Dict[str, str]:
+    """This process's environment, with no bytecode written and none
+    read but from the empty directory ``pycache``."""
+    env = dict(os.environ)
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    env["PYTHONPYCACHEPREFIX"] = pycache
+    return env
+
+
 def run_perfbench(checkout: Path, workload: str, seed: int,
                   seconds: int) -> str:
     """One untraced perfbench run in ``checkout``; its stdout."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=str(checkout), capture_output=True, text=True,
-    )
+    with tempfile.TemporaryDirectory(prefix="perf_ab_pycache_") as pycache:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=str(checkout), capture_output=True, text=True,
+            env=run_env(pycache),
+        )
     return proc.stdout
 
 
