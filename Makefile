@@ -4,7 +4,7 @@
 PYTHON ?= python
 JOBS ?= 4
 
-.PHONY: test tier1 smoke fig2 fig8-smoke fuzz-smoke bench clean-cache analyze analyze-all model-deep lint docs-check perf-ab
+.PHONY: test tier1 smoke fig2 smtp16-smoke fuzz-smoke bench clean-cache analyze analyze-all model-deep lint docs-check perf-ab
 
 # Tier-1 gate: the full unit/integration/property suite, then the
 # protocol verifier (static + dispatch + exhaustive small model).
@@ -94,22 +94,22 @@ fig2:
 		--grid fig2 --name fig2 --jobs 0 --timeout 300 \
 		--refresh --gate BENCH_fig2.json
 
-# Reduced Figure 8 slice: the 16-node SMTp cells (3 apps 2-way + the
-# 1-way contrast point, tiny preset) that make the paper's scaling
-# grid affordable under the fused multi-threaded fast path.  Runs the
-# fig8 grid gated against the committed BENCH_fig8.json (same >25%
-# rule + pre_smt_compile speedup floors as `make smoke`), then holds
-# the freshly written trajectory against a snapshot of the committed
-# one with tools/perf_delta.py, so the A/B survives as two artifacts.
-fig8-smoke:
-	@cp BENCH_fig8.json BENCH_fig8.baseline.json
+# The 16-node SMTp slice (3 apps 2-way + the 1-way contrast point,
+# tiny preset) that keeps the paper's multi-node regime affordable
+# under the fused multi-threaded fast path.  Runs the smtp16 grid
+# gated against the committed BENCH_smtp16.json (same >25% rule +
+# pre_smt_compile speedup floors as `make smoke`), then holds the
+# freshly written trajectory against a snapshot of the committed one
+# with tools/perf_delta.py, so the A/B survives as two artifacts.
+smtp16-smoke:
+	@cp BENCH_smtp16.json BENCH_smtp16.baseline.json
 	REPRO_BENCH_BEST_OF=5 PYTHONPATH=src $(PYTHON) -m repro sweep \
-		--grid fig8 --name fig8 --jobs 0 --timeout 600 \
-		--refresh --gate BENCH_fig8.json || \
-		{ rm -f BENCH_fig8.baseline.json; exit 1; }
-	$(PYTHON) tools/perf_delta.py BENCH_fig8.baseline.json \
-		BENCH_fig8.json; status=$$?; \
-		rm -f BENCH_fig8.baseline.json; exit $$status
+		--grid smtp16 --name smtp16 --jobs 0 --timeout 600 \
+		--refresh --gate BENCH_smtp16.json || \
+		{ rm -f BENCH_smtp16.baseline.json; exit 1; }
+	$(PYTHON) tools/perf_delta.py BENCH_smtp16.baseline.json \
+		BENCH_smtp16.json; status=$$?; \
+		rm -f BENCH_smtp16.baseline.json; exit $$status
 
 # Alternating-pair perfbench A/B of this checkout against another one
 # (e.g. a `git archive` of the parent commit):
@@ -144,9 +144,18 @@ fuzz-smoke:
 		--model smtp --nodes 4 --sharing mix \
 		--jobs $(JOBS) --timeout 120 --name fuzz-smoke-smtp
 
-# Regenerate every paper table/figure (cache-warm after first run).
+# Regenerate every paper table/figure: one `repro sweep --grid` per
+# paper grid (DESIGN.md §4), each printing its paper table after the
+# cell table.  Cells are cached in .sweep_cache/, so a re-run only
+# simulates what changed; the grids' BENCH_<grid>.json reports go to
+# .sweep_reports/ so the committed trajectories are never overwritten.
+PAPER_GRIDS = fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 \
+	table5 table6 table7 table8 table9 ablations
 bench:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	@status=0; for grid in $(PAPER_GRIDS); do \
+		PYTHONPATH=src $(PYTHON) -m repro sweep --grid $$grid \
+			--jobs $(JOBS) --out .sweep_reports || status=1; \
+	done; exit $$status
 
 clean-cache:
-	rm -rf benchmarks/.sweep_cache .sweep_cache
+	rm -rf .sweep_cache

@@ -15,6 +15,7 @@ from repro import run_app
 from repro.protocol.handlers import build_handler_table
 from repro.protocol.isa import POp
 from repro.sim.report import format_table, resource_occupancy_table
+from repro.sim.sweep import summarize_stats
 
 
 def show_handler_programs() -> None:
@@ -60,8 +61,11 @@ def show_characterization() -> None:
             rows,
         )
     )
-    print("\nPeak protocol-thread resource occupancy (Table 9 analogue):")
-    print(resource_occupancy_table(stats))
+    print()
+    print(resource_occupancy_table(
+        "Peak protocol-thread resource occupancy (Table 9 analogue)",
+        {app: summarize_stats(st) for app, st in stats.items()},
+    ))
     print(
         "\nNote the memory-intensive/compute-intensive split: fft keeps "
         "the protocol thread busiest, water barely wakes it."

@@ -20,6 +20,7 @@ from repro.core.models import MODELS
 from repro.fuzz.stress import SHARING_PATTERNS
 from repro.sim.experiments import APPS, PRESETS
 from repro.sim.report import MODEL_LABELS, format_table
+from repro.sim.sweep import NAMED_GRIDS
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -50,7 +51,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.sim.sweep import (
-        NAMED_GRIDS,
         ResultCache,
         gate_results,
         make_grid,
@@ -61,7 +61,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     if args.list_grids:
-        for name, builder in sorted(NAMED_GRIDS.items()):
+        for name, builder in NAMED_GRIDS.items():
             print(f"{name}: {len(builder())} cells")
         return 0
 
@@ -173,6 +173,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if comparison is not None:
         print("\ncross-protocol comparison (same cell, different bundle):")
         print(comparison)
+
+    render = NAMED_GRIDS[args.grid].render if args.grid else None
+    if render is not None:
+        print()
+        failed = sum(1 for r in results if not r.ok)
+        if failed:
+            print(f"no {args.grid} paper table: {failed} cell(s) failed")
+        else:
+            print(render(results))
 
     baseline = None
     if args.gate:
@@ -444,7 +453,7 @@ def main(argv=None) -> int:
         "sweep",
         help="run a configuration grid in parallel with result caching",
     )
-    sweep_p.add_argument("--grid", choices=("smoke", "fig2", "fig8"),
+    sweep_p.add_argument("--grid", choices=tuple(NAMED_GRIDS),
                          help="a named grid (overrides the axis options)")
     sweep_p.add_argument("--list-grids", action="store_true",
                          help="list named grids and exit")

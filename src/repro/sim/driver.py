@@ -1,7 +1,7 @@
 """The experiment driver: build a machine, run a workload, collect stats.
 
 ``run_app`` is the single entry point used by examples, tests and every
-benchmark: it instantiates one of the five Table 4 machine models, the
+sweep cell: it instantiates one of the five Table 4 machine models, the
 requested application at the requested preset size, runs to
 completion, drains the memory system, and returns
 :class:`~repro.common.stats.MachineStats`.

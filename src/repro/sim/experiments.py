@@ -5,8 +5,10 @@ simulation needs smaller inputs, so each application defines three
 presets with identical *structure* (blocking, communication pattern,
 synchronization) at different scales:
 
-* ``tiny``   — unit/integration tests (seconds),
-* ``bench``  — the benchmark harness (default; minutes for the suite),
+* ``tiny``   — unit/integration tests and the paper grids at 8 or
+  more nodes (seconds),
+* ``bench``  — the paper grids below 8 nodes (default; seconds per
+  cell),
 * ``default``— larger runs for closer-to-paper miss-rate behaviour.
 
 The capacity-scaled machine models (``cache_scale=32``,

@@ -1,15 +1,23 @@
 """Paper-style table and figure rendering.
 
-Each experiment produces a dict of results; these helpers print rows
-the way the paper's tables/figures read, so a benchmark run can be
-compared against the published numbers side by side.
+The table renderers read the per-cell summary rows that
+:func:`repro.sim.sweep.summarize_stats` writes and the sweep cache
+stores, keyed by application (and by model or thread count where the
+table has those columns), and return the table the way the paper
+prints it, so a sweep can be compared against the published numbers
+side by side.  Each paper grid in :data:`repro.sim.sweep.NAMED_GRIDS`
+carries the renderer for its table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.common.stats import MachineStats
+
+#: One cell's summary row, as :func:`repro.sim.sweep.summarize_stats`
+#: writes it.
+Row = Mapping[str, Any]
 
 MODEL_LABELS = {
     "base": "Base",
@@ -33,78 +41,144 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines)
 
 
-def speedup_table(results: Dict[str, Dict[int, float]], ways: Sequence[int]) -> str:
-    """Tables 5/6: rows = applications, columns = n-way speedups."""
-    headers = ["Application"] + [f"{w}-way" for w in ways]
-    rows = []
-    for app, per_way in results.items():
-        rows.append([app] + [f"{per_way[w]:.2f}" for w in ways])
-    return format_table(headers, rows)
+def _titled(title: str, body: str, note: str = "",
+            warnings: Sequence[str] = ()) -> str:
+    """One paper table as a sweep prints it: a ``=== title ===``
+    line, an optional note, the table, then any ``SHAPE WARNING``
+    lines (expected orderings the rows break — reported, not
+    asserted)."""
+    lines = [f"=== {title} ==="]
+    if note:
+        lines.append(note)
+    lines.append(body)
+    lines.extend(f"SHAPE WARNING: {w}" for w in warnings)
+    return "\n".join(lines)
 
 
 def normalized_exec_table(
-    results: Dict[str, Dict[str, MachineStats]], models: Sequence[str]
+    title: str, results: Dict[str, Dict[str, Row]], models: Sequence[str]
 ) -> str:
     """Figures 2-11: normalized execution time + memory-stall split.
 
-    Each cell shows ``total (memory-stall fraction)`` normalized to the
-    Base model of the same application — the textual equivalent of the
-    paper's stacked bars.
+    ``results[app][model]`` is a summary row.  Each cell shows
+    ``total (memory-stall fraction)`` normalized to the first model
+    (Base) of the same application — the textual equivalent of the
+    paper's stacked bars.  The paper's headline orderings (SMTp and
+    IntPerfect never slower than Base) are checked per application.
     """
-    headers = ["Application"] + [MODEL_LABELS.get(m, m) for m in models]
+    headers = ["App"] + [MODEL_LABELS.get(m, m) for m in models]
     rows = []
+    warnings = []
     for app, per_model in results.items():
-        base_cycles = per_model[models[0]].cycles
-        cells = [app]
-        for m in models:
-            st = per_model[m]
-            norm = st.cycles / base_cycles
-            cells.append(f"{norm:.3f} (mem {st.memory_stall_fraction:.2f})")
-        rows.append(cells)
-    return format_table(headers, rows)
+        base_cycles = per_model[models[0]]["cycles"]
+        norm = {m: per_model[m]["cycles"] / base_cycles for m in models}
+        rows.append([app] + [
+            f"{norm[m]:.3f} (mem {per_model[m]['memory_stall_fraction']:.2f})"
+            for m in models
+        ])
+        for m in ("smtp", "intperfect"):
+            if norm.get(m, 0.0) > 1.0:
+                warnings.append(f"{app}: {MODEL_LABELS[m]} slower than Base")
+    return _titled(
+        title, format_table(headers, rows),
+        note="(normalized execution time, memory-stall fraction in parens)",
+        warnings=warnings,
+    )
 
 
-def occupancy_table(results: Dict[str, Dict[str, MachineStats]],
-                    models: Sequence[str]) -> str:
-    """Table 7: peak protocol occupancy percentage per model."""
-    headers = ["App."] + [MODEL_LABELS.get(m, m) for m in models]
+def speedup_table(
+    title: str,
+    ref: Dict[str, Row],
+    runs: Dict[str, Dict[int, Row]],
+    ways: Sequence[int],
+) -> str:
+    """Tables 5/6: rows = applications, columns = n-way speedups.
+
+    Each speedup is the 1-node 1-way reference row's cycles over the
+    parallel row's (``runs[app][ways]``), at one problem size.
+    """
+    headers = ["Application"] + [f"{w}-way" for w in ways]
+    rows = [
+        [app] + [f"{ref[app]['cycles'] / per_way[w]['cycles']:.2f}"
+                 for w in ways]
+        for app, per_way in runs.items()
+    ]
+    return _titled(title, format_table(headers, rows))
+
+
+#: Table 7's column labels, abbreviated as in the paper.
+OCCUPANCY_LABELS = {"intperfect": "IntPerf."}
+
+
+def occupancy_table(
+    title: str, results: Dict[str, Dict[str, Row]], models: Sequence[str]
+) -> str:
+    """Table 7: peak protocol occupancy percentage per model.
+
+    The paper's ordering puts Base highest; an application whose Base
+    occupancy falls below 80% of Int512KB's is flagged.
+    """
+    headers = ["App."] + [
+        OCCUPANCY_LABELS.get(m, MODEL_LABELS.get(m, m)) for m in models]
     rows = []
-    for app, per_model in results.items():
-        rows.append(
-            [app]
-            + [f"{100 * per_model[m].protocol_occupancy_peak():.1f}%" for m in models]
-        )
-    return format_table(headers, rows)
+    warnings = []
+    for app, per in results.items():
+        rows.append([app] + [
+            f"{100 * per[m]['occupancy_peak']:.1f}%" for m in models])
+        if not per["base"]["occupancy_peak"] >= (
+            per["int512kb"]["occupancy_peak"] * 0.8
+        ):
+            warnings.append(f"{app}: Base occupancy not highest")
+    return _titled(title, format_table(headers, rows), warnings=warnings)
 
 
-def protocol_thread_table(results: Dict[str, MachineStats]) -> str:
+def protocol_thread_table(title: str, results: Dict[str, Row]) -> str:
     """Table 8: protocol-thread characteristics under SMTp."""
     headers = ["App.", "Br.Mis. Rate", "Squash %", "Retired Ins."]
-    rows = []
-    for app, st in results.items():
-        rows.append(
-            [
-                app,
-                f"{100 * st.protocol_branch_mispredict_rate():.2f}%",
-                f"{100 * st.protocol_squash_cycle_fraction():.2f}%",
-                f"{100 * st.retired_protocol_share():.2f}% of all",
-            ]
-        )
-    return format_table(headers, rows)
+    rows = [
+        [
+            app,
+            f"{100 * r['br_mispredict']:.2f}%",
+            f"{100 * r['squash_fraction']:.2f}%",
+            f"{100 * r['retired_share']:.2f}% of all",
+        ]
+        for app, r in results.items()
+    ]
+    return _titled(title, format_table(headers, rows))
 
 
-def resource_occupancy_table(results: Dict[str, MachineStats]) -> str:
-    """Table 9: peak active protocol-thread resource occupancy."""
+#: Table 9's protocol-thread resources, in the paper's column order.
+RESOURCES = ("branch_stack", "int_regs", "int_queue", "lsq")
+
+
+def resource_occupancy_table(title: str, results: Dict[str, Row]) -> str:
+    """Table 9: peak active protocol-thread resource occupancy, as
+    ``max, mean-of-node-peaks`` per resource."""
     headers = ["App.", "Br. Stack", "Int. Regs", "IQ", "LSQ"]
     rows = []
-    for app, st in results.items():
-        peaks = st.resource_peaks()
+    for app, r in results.items():
         cells = [app]
-        for key in ("branch_stack", "int_regs", "int_queue", "lsq"):
-            mx, mean = peaks[key]
+        for key in RESOURCES:
+            mx, mean = r["peaks"][key]
             cells.append(f"{mx}, {mean:.0f}")
         rows.append(cells)
-    return format_table(headers, rows)
+    return _titled(title, format_table(headers, rows))
+
+
+def ablation_table(
+    title: str,
+    note: str,
+    column: str,
+    ref: Dict[str, Row],
+    variant: Dict[str, Row],
+) -> str:
+    """A §2 ablation: the variant's percent cycle change against the
+    reference row of the same application."""
+    rows = [
+        [app, f"{(variant[app]['cycles'] / r['cycles'] - 1) * 100:+.2f}%"]
+        for app, r in ref.items()
+    ]
+    return _titled(title, format_table(["App.", column], rows), note=note)
 
 
 def protocol_comparison_table(results) -> Optional[str]:

@@ -5,8 +5,7 @@ Every paper table/figure is a grid of fully independent simulations:
 code.  This module fans such grids out across a ``multiprocessing``
 worker pool and memoizes each cell on disk, so
 
-* a re-run of any bench (or of the whole suite) only simulates cells
-  whose inputs changed,
+* a re-run of any grid only simulates cells whose inputs changed,
 * a sweep that died half-way resumes from the completed cells,
 * one misbehaving cell (``DeadlockError``, timeout, crash) degrades to
   a recorded failure row instead of killing the sweep.
@@ -21,7 +20,9 @@ for the operational view.
 Entry points:
 
 * :func:`run_sweep` — run a list of :class:`SweepCell`\\ s.
-* :func:`make_grid` / :data:`NAMED_GRIDS` — build cell lists.
+* :func:`make_grid` / :data:`NAMED_GRIDS` — build cell lists; the
+  named grids include one per paper experiment, each with its table
+  renderer.
 * :class:`ResultCache` — the on-disk cell store.
 * :func:`write_bench_json` — emit a machine-readable ``BENCH_*.json``
   trajectory file for a finished sweep.
@@ -46,6 +47,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SimulationError
+from repro.core.models import MODELS
 
 #: Bump when the result-record layout changes (invalidates every cell).
 SCHEMA_VERSION = 1
@@ -186,8 +188,9 @@ class SweepCell:
 def summarize_stats(st) -> Dict[str, object]:
     """JSON-serializable scalar summary of one run's MachineStats.
 
-    This is the per-cell record every bench and ``BENCH_*.json`` file
-    consumes; it is the *only* thing the cache stores.
+    This is the per-cell record the paper-table renderers
+    (:mod:`repro.sim.report`) and every ``BENCH_*.json`` file consume;
+    it is the *only* thing the cache stores.
     """
     peaks = st.resource_peaks()
     return dict(
@@ -727,35 +730,202 @@ def _grid_smoke() -> List[SweepCell]:
     return cells
 
 
-def _grid_fig2() -> List[SweepCell]:
-    from repro.core.models import MODELS
-    from repro.sim.experiments import APPS
-
-    return make_grid(APPS, MODELS, preset="bench")
-
-
-def _grid_fig8() -> List[SweepCell]:
-    # Reduced 16-node slice of the paper's fig 8 scalability grid: the
-    # SMTp frontier cells ROADMAP.md names (16-node × 2-way runs), at
-    # tiny preset so the trajectory stays CI-affordable while still
-    # exercising the regime the active-set scheduler targets — most of
-    # the 16 nodes asleep at any instant, coherence handlers dominating
-    # the awake work.  ``make fig8-smoke`` runs this grid and holds it
-    # to the committed ``BENCH_fig8.json`` via ``tools/perf_delta.py``.
+def _grid_smtp16() -> List[SweepCell]:
+    # The 16-node SMTp slice: the frontier cells ROADMAP.md names
+    # (16-node × 2-way runs), at tiny preset so the trajectory stays
+    # CI-affordable while still exercising the regime the active-set
+    # scheduler targets — most of the 16 nodes asleep at any instant,
+    # coherence handlers dominating the awake work.  ``make
+    # smtp16-smoke`` runs this grid and holds it to the committed
+    # ``BENCH_smtp16.json`` via ``tools/perf_delta.py``.
     cells = make_grid(("fft", "ocean", "radix"), ("smtp",),
                       nodes=(16,), ways=(2,), preset="tiny")
     # One 1-way 16-node cell: the protocol thread shares the core with
-    # a single app thread, the dominant paper configuration (fig 8).
+    # a single app thread, the dominant paper configuration.
     cells += make_grid(("fft",), ("smtp",), nodes=(16,), ways=(1,),
                        preset="tiny")
     return cells
 
 
-#: Named grids for ``python -m repro sweep --grid <name>``.
-NAMED_GRIDS: Dict[str, Callable[[], List[SweepCell]]] = {
-    "smoke": _grid_smoke,
-    "fig2": _grid_fig2,
-    "fig8": _grid_fig8,
+class NamedGrid:
+    """A ``--grid NAME`` entry: its cell builder and, for a paper
+    experiment, the renderer that prints the paper's table from the
+    finished cells (every cell ok, in grid order).  Calling the entry
+    builds its cells.  The renderers import :mod:`repro.sim.report`
+    when they run, so importing this module stays cheap."""
+
+    __slots__ = ("build", "render")
+
+    def __init__(
+        self,
+        build: Callable[[], List[SweepCell]],
+        render: Optional[Callable[[Sequence[CellResult]], str]] = None,
+    ) -> None:
+        self.build = build
+        self.render = render
+
+    def __call__(self) -> List[SweepCell]:
+        return self.build()
+
+
+def _paper_cells(models, n_nodes: int, ways=(1,), freq_ghz: float = 2.0,
+                 preset: Optional[str] = None, **flags) -> List[SweepCell]:
+    """All six applications × ``models`` at one machine shape.  Sizes
+    default to ``bench`` below 8 nodes and ``tiny`` at 8 or more,
+    which keeps the 16- and 32-node matrices affordable (DESIGN.md
+    §2)."""
+    from repro.sim.experiments import APPS
+
+    if preset is None:
+        preset = "bench" if n_nodes < 8 else "tiny"
+    return make_grid(APPS, models, nodes=(n_nodes,), ways=ways,
+                     freq_ghz=freq_ghz, preset=preset, **flags)
+
+
+def _by_app(results: Sequence[CellResult], key) -> Dict[str, Dict]:
+    """``{app: {key(cell): stats}}``, applications in grid order."""
+    out: Dict[str, Dict] = {}
+    for r in results:
+        out.setdefault(r.cell.app, {})[key(r.cell)] = r.stats
+    return out
+
+
+def _per_app(results: Sequence[CellResult]) -> Dict[str, Dict]:
+    return {r.cell.app: r.stats for r in results}
+
+
+def _figure(title: str, n_nodes: int, ways: int,
+            freq_ghz: float = 2.0) -> NamedGrid:
+    """Figures 2-11: every model × application at one machine shape."""
+
+    def render(results: Sequence[CellResult]) -> str:
+        from repro.sim.report import normalized_exec_table
+
+        return normalized_exec_table(
+            title, _by_app(results, lambda c: c.model), MODELS)
+
+    return NamedGrid(
+        lambda: _paper_cells(MODELS, n_nodes, (ways,), freq_ghz), render)
+
+
+#: Thread counts per node of the Tables 5/6 speedup columns.
+SPEEDUP_WAYS = (1, 2, 4)
+
+
+def _speedup(title: str, model: str) -> NamedGrid:
+    """Tables 5/6: a 1-node 1-way reference and 16 nodes at 1/2/4
+    ways, all ``tiny`` — a self-relative speedup must hold the problem
+    size fixed."""
+
+    def build() -> List[SweepCell]:
+        return (_paper_cells((model,), 1, preset="tiny")
+                + _paper_cells((model,), 16, SPEEDUP_WAYS, preset="tiny"))
+
+    def render(results: Sequence[CellResult]) -> str:
+        from repro.sim.report import speedup_table
+
+        rows = _by_app(results, lambda c: (c.n_nodes, c.ways))
+        return speedup_table(
+            title,
+            {app: per[(1, 1)] for app, per in rows.items()},
+            {app: {w: per[(16, w)] for w in SPEEDUP_WAYS}
+             for app, per in rows.items()},
+            SPEEDUP_WAYS,
+        )
+
+    return NamedGrid(build, render)
+
+
+#: Table 7's models, in the paper's column order.
+OCCUPANCY_MODELS = ("base", "intperfect", "int512kb", "smtp")
+
+
+def _table7(results: Sequence[CellResult]) -> str:
+    from repro.sim.report import occupancy_table
+
+    return occupancy_table(
+        "Table 7: 16-node protocol occupancy (1-way nodes)",
+        _by_app(results, lambda c: c.model), OCCUPANCY_MODELS)
+
+
+def _table8(results: Sequence[CellResult]) -> str:
+    from repro.sim.report import protocol_thread_table
+
+    return protocol_thread_table(
+        "Table 8: protocol thread characteristics (16 nodes, 1-way)",
+        _per_app(results))
+
+
+def _table9(results: Sequence[CellResult]) -> str:
+    from repro.sim.report import resource_occupancy_table
+
+    return resource_occupancy_table(
+        "Table 9: active protocol thread occupancy (16 nodes, 1-way)",
+        _per_app(results))
+
+
+#: The §2 ablations, each one flag against the shared SMTp reference:
+#: (flag, value, title, note, column).
+ABLATIONS = (
+    ("look_ahead_scheduling", False,
+     "Ablation: Look-Ahead Scheduling disabled",
+     "(positive = slower without LAS; paper: LAS helps up to 3.9%)",
+     "slowdown without LAS"),
+    ("protocol_bitops", False,
+     "Ablation: popcount/ctz as software loops",
+     "(paper: <0.3% average, <=0.8% worst case)",
+     "slowdown without bit ops"),
+    ("perfect_protocol_caches", True,
+     "Ablation: private perfect protocol caches",
+     "(negative = faster with perfect caches; paper: 0.9-5.1%)",
+     "delta with perfect caches"),
+)
+
+
+def _ablation_cells() -> List[SweepCell]:
+    cells = _paper_cells(("smtp",), 2)
+    for flag, value, *_ in ABLATIONS:
+        cells += _paper_cells(("smtp",), 2, **{flag: value})
+    return cells
+
+
+def _ablation_tables(results: Sequence[CellResult]) -> str:
+    from repro.sim.report import ablation_table
+
+    rows = _by_app(results, lambda c: c.flags)
+    ref = {app: per[()] for app, per in rows.items()}
+    return "\n\n".join(
+        ablation_table(
+            title, note, column, ref,
+            {app: per[((flag, value),)] for app, per in rows.items()},
+        )
+        for flag, value, title, note, column in ABLATIONS
+    )
+
+
+#: Named grids for ``python -m repro sweep --grid <name>``: the CI
+#: perf-trajectory grids, then one per paper figure, table and the §2
+#: ablations (DESIGN.md §4), each with its paper table.  Tables 7-9
+#: are Figure 5's 16-node 1-way cells, so the cache shares them.
+NAMED_GRIDS: Dict[str, NamedGrid] = {
+    "smoke": NamedGrid(_grid_smoke),
+    "smtp16": NamedGrid(_grid_smtp16),
+    "fig2": _figure("Figure 2: single node, 1-way", 1, 1),
+    "fig3": _figure("Figure 3: single node, 2-way", 1, 2),
+    "fig4": _figure("Figure 4: single node, 4-way", 1, 4),
+    "fig5": _figure("Figure 5: 16 nodes, 1-way", 16, 1),
+    "fig6": _figure("Figure 6: 16 nodes, 2-way", 16, 2),
+    "fig7": _figure("Figure 7: 16 nodes, 4-way (64 threads)", 16, 4),
+    "fig8": _figure("Figure 8: 32 nodes, 1-way", 32, 1),
+    "fig9": _figure("Figure 9: 32 nodes, 2-way (64 threads)", 32, 2),
+    "fig10": _figure("Figure 10: 8 nodes, 1-way, 4 GHz", 8, 1, 4.0),
+    "fig11": _figure("Figure 11: 8 nodes, 1-way, 2 GHz", 8, 1, 2.0),
+    "table5": _speedup("Table 5: 16-node speedup in Base", "base"),
+    "table6": _speedup("Table 6: 16-node speedup in SMTp", "smtp"),
+    "table7": NamedGrid(lambda: _paper_cells(OCCUPANCY_MODELS, 16), _table7),
+    "table8": NamedGrid(lambda: _paper_cells(("smtp",), 16), _table8),
+    "table9": NamedGrid(lambda: _paper_cells(("smtp",), 16), _table9),
+    "ablations": NamedGrid(_ablation_cells, _ablation_tables),
 }
 
 

@@ -73,3 +73,16 @@ def test_invariant_codes_are_listed_both_ways():
     )
     assert check_docs.documented_invariant_codes(fake_doc) == {
         "swmr", "phantom"}
+
+
+def test_quoted_grid_names_are_checked_against_the_live_list():
+    """Every `--grid NAME` a checked doc quotes must be a grid `repro
+    sweep --list-grids` prints; the parser sees real names (either
+    spelling) and skips uppercase placeholders."""
+    grids = check_docs.live_grids()
+    assert {"smoke", "smtp16", "fig2", "fig8", "table8", "ablations"} <= grids
+    doc = ("Run `sweep --grid fig2`, or --grid=smtp16. `--grid NAME` is "
+           "a placeholder; `--grid fig12` is stale.")
+    quoted = set(check_docs.GRID_RE.findall(doc))
+    assert quoted == {"fig2", "smtp16", "fig12"}
+    assert quoted - grids == {"fig12"}

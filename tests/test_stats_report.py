@@ -10,6 +10,7 @@ from repro.common.stats import (
     ThreadStats,
 )
 from repro.sim import report
+from repro.sim.sweep import OCCUPANCY_MODELS, summarize_stats
 
 
 def make_stats(cycles=1000, model="smtp", n_nodes=2):
@@ -86,7 +87,15 @@ class TestMachineStats:
         assert p.handlers_by_type == {"h_get": 2}
 
 
+def row(cycles=1000, model="smtp"):
+    """One cell's summary row, as the sweep cache stores it."""
+    return summarize_stats(make_stats(cycles, model))
+
+
 class TestReport:
+    """The paper-table renderers read sweep summary rows; each gives
+    fixed text for fixed rows."""
+
     def test_format_table_aligns(self):
         out = report.format_table(["a", "bb"], [["x", "y"], ["long", "z"]])
         lines = out.splitlines()
@@ -95,33 +104,101 @@ class TestReport:
 
     def test_speedup_table(self):
         out = report.speedup_table(
-            {"FFT": {1: 13.87, 2: 19.32}}, ways=[1, 2]
+            "Table 5: 16-node speedup in Base",
+            {"fft": row(2000)},
+            {"fft": {1: row(1000), 2: row(800)}},
+            ways=(1, 2),
         )
-        assert "13.87" in out and "FFT" in out
+        assert out == (
+            "=== Table 5: 16-node speedup in Base ===\n"
+            "Application  1-way  2-way\n"
+            "-----------  -----  -----\n"
+            "fft          2.00   2.50"
+        )
 
     def test_normalized_exec_table(self):
-        results = {
-            "FFT": {
-                "base": make_stats(1000, "base"),
-                "smtp": make_stats(800, "smtp"),
-            }
-        }
-        out = report.normalized_exec_table(results, ["base", "smtp"])
-        assert "1.000" in out and "0.800" in out
+        results = {"fft": {"base": row(1000, "base"), "smtp": row(800)}}
+        out = report.normalized_exec_table(
+            "Figure 2: single node, 1-way", results, ["base", "smtp"])
+        assert out == (
+            "=== Figure 2: single node, 1-way ===\n"
+            "(normalized execution time, memory-stall fraction in parens)\n"
+            "App  Base              SMTp\n"
+            "---  ----------------  ----------------\n"
+            "fft  1.000 (mem 0.30)  0.800 (mem 0.38)"
+        )
+
+    def test_smtp_slower_than_base_raises_shape_warning(self):
+        results = {"fft": {"base": row(1000, "base"), "smtp": row(1250)}}
+        out = report.normalized_exec_table("Figure", results, ["base", "smtp"])
+        assert out.splitlines()[-1] == (
+            "SHAPE WARNING: fft: SMTp slower than Base")
+        faster = {"fft": {"base": row(1000, "base"), "smtp": row(800)}}
+        assert "SHAPE WARNING" not in report.normalized_exec_table(
+            "Figure", faster, ["base", "smtp"])
 
     def test_occupancy_table(self):
         out = report.occupancy_table(
-            {"FFT": {"base": make_stats()}}, ["base"]
+            "Table 7: 16-node protocol occupancy (1-way nodes)",
+            {"fft": {m: row(model=m) for m in OCCUPANCY_MODELS}},
+            OCCUPANCY_MODELS,
         )
-        assert "%" in out
+        assert out == (
+            "=== Table 7: 16-node protocol occupancy (1-way nodes) ===\n"
+            "App.  Base   IntPerf.  Int512KB  SMTp\n"
+            "----  -----  --------  --------  -----\n"
+            "fft   20.0%  20.0%     20.0%     20.0%"
+        )
+
+    def test_occupancy_table_flags_base_below_int512kb(self):
+        per = {m: row(model=m) for m in OCCUPANCY_MODELS}
+        per["base"] = dict(per["base"], occupancy_peak=0.1)
+        out = report.occupancy_table("Table 7", {"fft": per}, OCCUPANCY_MODELS)
+        assert out.splitlines()[-1] == (
+            "SHAPE WARNING: fft: Base occupancy not highest")
 
     def test_protocol_thread_table(self):
-        out = report.protocol_thread_table({"FFT": make_stats()})
-        assert "of all" in out
+        out = report.protocol_thread_table(
+            "Table 8: protocol thread characteristics (16 nodes, 1-way)",
+            {"fft": row()},
+        )
+        assert out == (
+            "=== Table 8: protocol thread characteristics "
+            "(16 nodes, 1-way) ===\n"
+            "App.  Br.Mis. Rate  Squash %  Retired Ins.\n"
+            "----  ------------  --------  ------------\n"
+            "fft   10.00%        0.00%     7.41% of all"
+        )
 
     def test_resource_table(self):
-        out = report.resource_occupancy_table({"FFT": make_stats()})
-        assert "Int. Regs" in out
+        out = report.resource_occupancy_table(
+            "Table 9: active protocol thread occupancy (16 nodes, 1-way)",
+            {"fft": row()},
+        )
+        assert out == (
+            "=== Table 9: active protocol thread occupancy "
+            "(16 nodes, 1-way) ===\n"
+            "App.  Br. Stack  Int. Regs  IQ    LSQ\n"
+            "----  ---------  ---------  ----  ----\n"
+            "fft   6, 6       40, 40     8, 8  6, 6"
+        )
+
+    def test_ablation_table(self):
+        out = report.ablation_table(
+            "Ablation: Look-Ahead Scheduling disabled",
+            "(positive = slower without LAS; paper: LAS helps up to 3.9%)",
+            "slowdown without LAS",
+            {"fft": row(1000), "lu": row(1000)},
+            {"fft": row(1039), "lu": row(990)},
+        )
+        assert out == (
+            "=== Ablation: Look-Ahead Scheduling disabled ===\n"
+            "(positive = slower without LAS; paper: LAS helps up to 3.9%)\n"
+            "App.  slowdown without LAS\n"
+            "----  --------------------\n"
+            "fft   +3.90%\n"
+            "lu    -1.00%"
+        )
 
     def test_summary(self):
         out = report.summarize(make_stats())

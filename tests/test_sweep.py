@@ -251,10 +251,50 @@ class TestSweepCLI:
 
     def test_list_grids(self, capsys):
         from repro.__main__ import main
+        from repro.sim.sweep import NAMED_GRIDS
 
         assert main(["sweep", "--list-grids"]) == 0
         out = capsys.readouterr().out
-        assert "smoke" in out and "fig2" in out
+        listed = [line.split(":")[0] for line in out.splitlines()]
+        assert listed == list(NAMED_GRIDS)
+        assert {"smoke", "smtp16", "ablations"} <= set(listed)
+        assert {f"fig{n}" for n in range(2, 12)} <= set(listed)
+        assert {f"table{n}" for n in range(5, 10)} <= set(listed)
+
+    def test_grid_choices_come_from_the_registry(self, monkeypatch):
+        from repro import __main__ as cli
+        from repro.sim.sweep import NAMED_GRIDS
+
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_sweep",
+                            lambda args: seen.append(args.grid) or 0)
+        for name in NAMED_GRIDS:
+            assert cli.main(["sweep", "--grid", name]) == 0
+        assert seen == list(NAMED_GRIDS)
+        with pytest.raises(SystemExit):
+            cli.main(["sweep", "--grid", "no-such-grid"])
+
+    def test_paper_grid_prints_its_table(self, tmp_path, capsys):
+        """A finished paper grid prints the paper's table after the
+        cell table (here every cell is served from a seeded cache)."""
+        from repro.__main__ import main
+        from repro.sim.sweep import NAMED_GRIDS
+
+        cache = ResultCache(tmp_path / "cache")
+        for cell in NAMED_GRIDS["table8"]():
+            stats = {"cycles": 1000, "br_mispredict": 0.1,
+                     "squash_fraction": 0.002, "retired_share": 0.5}
+            cache.put(cell.cache_key(), CellResult(cell, "ok", stats=stats))
+        rc = main(["sweep", "--grid", "table8", "--jobs", "0",
+                   "--cache-dir", str(tmp_path / "cache"),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        table = out[out.index("=== Table 8"):].splitlines()
+        assert table[1] == "App.   Br.Mis. Rate  Squash %  Retired Ins."
+        assert table[3] == "fft    10.00%        0.20%     50.00% of all"
+        assert [line.split()[0] for line in table[3:9]] == [
+            "fft", "fftw", "lu", "ocean", "radix", "water"]
 
     def test_failed_cell_sets_exit_code(self, tmp_path, capsys):
         from repro.__main__ import main
@@ -266,6 +306,90 @@ class TestSweepCLI:
             "--out", str(tmp_path), "--name", "failing",
         ])
         assert rc == 1
+
+
+def paper_grids():
+    from repro.sim.sweep import NAMED_GRIDS
+
+    return {name: grid for name, grid in NAMED_GRIDS.items()
+            if grid.render is not None}
+
+
+class TestPaperGrids:
+    """Every paper experiment is a named grid with its table."""
+
+    def test_every_paper_experiment_has_a_grid(self):
+        assert set(paper_grids()) == (
+            {f"fig{n}" for n in range(2, 12)}
+            | {f"table{n}" for n in range(5, 10)} | {"ablations"})
+
+    def test_cell_counts_match_the_design_index(self):
+        """DESIGN.md §4 names each paper grid with its cell count."""
+        import re
+        from pathlib import Path
+
+        design = (Path(__file__).resolve().parent.parent
+                  / "DESIGN.md").read_text()
+        section = design[design.index("## 4."):design.index("## 5.")]
+        counts = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            grid = re.fullmatch(r"`([a-z0-9]+)`", cells[-1])
+            if line.startswith("|") and grid:
+                counts[grid.group(1)] = int(
+                    re.search(r"\((\d+) cells\)", cells[2]).group(1))
+        assert counts == {
+            name: len(grid()) for name, grid in paper_grids().items()}
+
+    def test_every_cell_resolves_its_cache_key(self):
+        for grid in paper_grids().values():
+            cells = grid()
+            assert len({c.cache_key() for c in cells}) == len(cells)
+
+    def test_tables_7_to_9_reuse_figure_5_cells(self):
+        fig5 = set(paper_grids()["fig5"]())
+        for name in ("table7", "table8", "table9"):
+            assert set(paper_grids()[name]()) <= fig5
+
+    def test_speedup_tables_hold_the_problem_size_fixed(self):
+        for name in ("table5", "table6"):
+            cells = paper_grids()[name]()
+            assert {c.preset for c in cells} == {"tiny"}
+            assert {(c.n_nodes, c.ways) for c in cells} == {
+                (1, 1), (16, 1), (16, 2), (16, 4)}
+
+    def test_ablations_render_against_one_shared_reference(self):
+        grid = paper_grids()["ablations"]
+        cells = grid()
+        assert sum(1 for c in cells if not c.flags) == 6
+        results = [
+            CellResult(c, "ok", stats={"cycles": 1010 if c.flags else 1000})
+            for c in cells
+        ]
+        out = grid.render(results)
+        assert out.count("=== Ablation:") == 3
+        assert out.count("+1.00%") == 18
+
+    def test_make_bench_runs_every_paper_grid(self):
+        import re
+        from pathlib import Path
+
+        makefile = (Path(__file__).resolve().parent.parent
+                    / "Makefile").read_text()
+        listed = re.search(r"^PAPER_GRIDS = (.*?[^\\])$", makefile,
+                           re.MULTILINE | re.DOTALL).group(1)
+        assert listed.replace("\\", " ").split() == list(paper_grids())
+
+    def test_smtp16_slice_is_unchanged(self):
+        from repro.sim.sweep import NAMED_GRIDS
+
+        assert [(c.app, c.model, c.n_nodes, c.ways, c.preset)
+                for c in NAMED_GRIDS["smtp16"]()] == [
+            ("fft", "smtp", 16, 2, "tiny"),
+            ("ocean", "smtp", 16, 2, "tiny"),
+            ("radix", "smtp", 16, 2, "tiny"),
+            ("fft", "smtp", 16, 1, "tiny"),
+        ]
 
 
 @pytest.mark.slow

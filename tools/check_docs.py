@@ -18,12 +18,12 @@ flags argparse actually advertises:
    manual).  Each manual owns its commands' full flag sets.
 
 The same two directions are enforced for ``REPRO_*`` environment
-flags (the execution-mode escape hatches and bench knobs):
+flags (the execution-mode escape hatches and sweep timing knobs):
 
 3. **No phantom env flags** — every ``REPRO_*`` token in a checked
-   doc must be read somewhere in ``src/`` or ``benchmarks/``: appear
-   there as a whole string literal (a mention in a comment or
-   docstring does not keep a removed flag alive).
+   doc must be read somewhere in ``src/``: appear there as a whole
+   string literal (a mention in a comment or docstring does not keep
+   a removed flag alive).
 
 4. **No undocumented env flags** — every ``REPRO_*`` flag the code
    reads must be described in README.md or EXPERIMENTS.md.
@@ -35,7 +35,7 @@ And for ``make`` targets quoted in the docs:
    the Makefile.
 
 6. **No undocumented gate targets** — the targets on the small
-   required list (the CI perf gates, e.g. ``smoke``/``fig8-smoke``)
+   required list (the CI perf gates, e.g. ``smoke``/``smtp16-smoke``)
    must exist in the Makefile *and* be described in README.md or
    EXPERIMENTS.md.
 
@@ -45,6 +45,11 @@ And for the coherence invariants:
    ``docs/analyze.md`` names exactly the codes in
    ``repro.protocol.invariants.CODES``: no code missing from the list,
    no listed code the module no longer has.
+
+And for the named sweep grids:
+
+8. **No phantom grids** — every ``--grid NAME`` a checked doc quotes
+   must be listed by the live ``repro sweep --list-grids``.
 
 Run as ``make docs-check`` or ``python tools/check_docs.py``; exit 0
 clean, 1 stale.  ``tests/test_docs.py`` wraps it so staleness also
@@ -90,7 +95,6 @@ MANUALS = {
 # Flags of *other* tools that docs may quote in examples.
 ALLOWED_EXTERNAL = {
     "--help",
-    "--benchmark-only",  # pytest-benchmark, used by `make bench`
     "--no-build-isolation",  # pip, quoted in the README install notes
     "--version",
 }
@@ -101,7 +105,7 @@ FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 # every implemented flag, and where implementations may live.
 ENV_RE = re.compile(r"\bREPRO_[A-Z][A-Z0-9_]*")
 ENV_DOCS = ("README.md", "EXPERIMENTS.md")
-ENV_SOURCE_DIRS = ("src", "benchmarks")
+ENV_SOURCE_DIRS = ("src",)
 
 # `make <target>` mentions are only trusted in code context (inline
 # backticks or a shell-block line), so prose like "make sure" never
@@ -113,7 +117,10 @@ MAKE_RE = re.compile(
 
 # Targets that must stay live in the Makefile AND be described in one
 # of ENV_DOCS: the CI perf gates operators are expected to run.
-REQUIRED_TARGETS = ("smoke", "fig8-smoke")
+REQUIRED_TARGETS = ("smoke", "smtp16-smoke")
+
+# `--grid NAME` quoted in a doc; NAME must be a live named grid.
+GRID_RE = re.compile(r"--grid[ =]([a-z][a-z0-9_-]*)")
 
 # Where the invariant codes are declared and where they are listed.
 INVARIANTS_SOURCE = "src/repro/protocol/invariants.py"
@@ -173,15 +180,27 @@ def documented_invariant_codes(doc: str) -> set[str]:
     return set(INVARIANT_ITEM_RE.findall(match.group(1))) if match else set()
 
 
-def live_flags(command: str) -> set[str]:
-    """The ``--long`` options argparse advertises for a subcommand."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", command, "--help"],
+def repro_stdout(*args: str) -> str:
+    """What ``python -m repro ARGS`` prints, run against ``src/``."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         cwd=REPO, check=True,
-    )
-    return set(FLAG_RE.findall(proc.stdout))
+    ).stdout
+
+
+def live_flags(command: str) -> set[str]:
+    """The ``--long`` options argparse advertises for a subcommand."""
+    return set(FLAG_RE.findall(repro_stdout(command, "--help")))
+
+
+def live_grids() -> set[str]:
+    """The grid names ``repro sweep --list-grids`` prints, one
+    ``NAME: N cells`` line each."""
+    return set(re.findall(r"^(\S+): \d+ cells$",
+                          repro_stdout("sweep", "--list-grids"),
+                          re.MULTILINE))
 
 
 def doc_flags(path: Path) -> set[str]:
@@ -300,6 +319,18 @@ def main() -> int:
             f"{INVARIANTS_DOC}: lists invariant code `{code}`, which "
             f"{INVARIANTS_SOURCE} does not declare"
         )
+
+    # Direction 8: quoted grid names are live grids.
+    grids = live_grids()
+    for rel in DOC_COMMANDS:
+        path = REPO / rel
+        if not path.exists():
+            continue
+        for grid in sorted(set(GRID_RE.findall(path.read_text())) - grids):
+            problems.append(
+                f"{rel}: quotes `--grid {grid}`, which `repro sweep "
+                f"--list-grids` does not list"
+            )
 
     for line in problems:
         print(f"docs-check: {line}")

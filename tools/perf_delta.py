@@ -1,14 +1,14 @@
 #!/usr/bin/env python
 """Compare two ``BENCH_*.json`` perf trajectories; fail on regression.
 
-``make fig8-smoke`` (and any ad-hoc A/B of two sweep runs) needs a
+``make smtp16-smoke`` (and any ad-hoc A/B of two sweep runs) needs a
 file-to-file comparison rather than the in-process gate ``python -m
 repro sweep --gate`` applies: the fresh trajectory is written first,
 then held against the committed one, so the diff survives as two
 artifacts that can be inspected or plotted after the verdict.
 
 Sweep trajectories (``BENCH_smoke.json``, ``BENCH_fig2.json``,
-``BENCH_fig8.json``) carry ``cells``, matched by configuration (app,
+``BENCH_smtp16.json``) carry ``cells``, matched by configuration (app,
 model, nodes, ways, freq, preset, flags) and timed by CPU seconds
 (``elapsed_s``).  The model-checker trajectory (``BENCH_model.json``)
 carries ``configs`` rows, matched by their config key and timed by
