@@ -67,19 +67,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.common.errors import ConfigError
 
-    if args.worker:
-        from repro.sim.queue import JobQueue, worker_loop
-
-        queue = JobQueue(args.queue_dir, lease_s=args.lease)
-        ran = worker_loop(
-            queue,
-            checkpoint_every=args.checkpoint_every,
-            progress=print,
-        )
-        state = "drained" if queue.all_done() else "still has leased jobs"
-        print(f"worker: ran {ran} job(s); queue {state}")
-        return 0
-
     try:
         if args.grid:
             if args.protocol:
@@ -127,26 +114,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # settle first so the earliest cells aren't timed cold.
         warm_up_cpu()
     t0 = time.perf_counter()
-    if args.serve:
-        from repro.sim.queue import JobQueue, serve_sweep
-
-        queue = JobQueue(args.queue_dir, lease_s=args.lease)
-        print(
-            f"serve: queue at {args.queue_dir}; start workers with "
-            f"`python -m repro sweep --worker --queue-dir {args.queue_dir}`"
-        )
-        results = serve_sweep(
-            queue, cells, cache=cache, refresh=args.refresh, progress=print
-        )
-    else:
-        results = run_sweep(
-            cells,
-            jobs=jobs,
-            cache=cache,
-            timeout=args.timeout or None,
-            retries=args.retries,
-            progress=print,
-        )
+    results = run_sweep(
+        cells,
+        jobs=jobs,
+        cache=cache,
+        timeout=args.timeout or None,
+        retries=args.retries,
+        progress=print,
+    )
     wall = time.perf_counter() - t0
 
     rows = [
@@ -349,7 +324,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     ledger = None
     if args.ledger:
-        from repro.sim.queue import ResultLedger
+        from repro.sim.sweep import ResultLedger
 
         ledger = ResultLedger(args.ledger)
     t0 = time.perf_counter()
@@ -489,23 +464,6 @@ def main(argv=None) -> int:
                          help="run the first cell of the grid inline under "
                               "cProfile and print the top-N cumulative "
                               "hotspots instead of sweeping")
-    sweep_p.add_argument("--serve", action="store_true",
-                         help="enqueue the grid on the persistent job queue "
-                              "and wait for workers instead of simulating "
-                              "in-process")
-    sweep_p.add_argument("--worker", action="store_true",
-                         help="drain the persistent job queue (claim, run "
-                              "with checkpointing, repeat until drained)")
-    sweep_p.add_argument("--queue-dir", default=".sweep_queue",
-                         help="persistent queue directory for "
-                              "--serve/--worker")
-    sweep_p.add_argument("--lease", type=float, default=120.0,
-                         help="seconds without a worker heartbeat before "
-                              "a leased job is reclaimed")
-    sweep_p.add_argument("--checkpoint-every", type=int, default=2_000_000,
-                         metavar="CYCLES",
-                         help="cycles between worker checkpoints "
-                              "(REPRO_NO_CKPT=1 disables checkpointing)")
     sweep_p.add_argument("--protocol", default=None, metavar="NAME",
                          help="run every cell of an axis-built grid on "
                               "this registered coherence bundle (see "

@@ -14,9 +14,9 @@ of the canonical state, and advances the search **wave by wave**
    (:func:`_expand_shard`), which writes its successors bucketed by
    target shard to ``out_%04d/from*_to*.pkl`` and returns only
    JSON-safe statistics.  Workers are wrapped in a
-   :class:`repro.sim.queue.ResultLedger`, so a killed run replays
-   finished shards instantly on restart — the same machinery sweep
-   campaigns use (docs/sweep-service.md).
+   :class:`repro.sim.sweep.ResultLedger`, so a killed run replays
+   finished shards instantly on restart — the same machinery fuzz
+   campaigns use (``repro fuzz --ledger``).
 3. The coordinator merges the buckets per target shard against the
    cumulative per-shard visited-digest snapshots
    (``visited_%03d.wave_%04d.pkl``), writes wave ``k+1``, and only
@@ -225,8 +225,7 @@ def explore_disk(
     A different configuration in the same directory is a
     ``ConfigError`` — deep runs are precious, never clobber one.
     """
-    from repro.sim.queue import ResultLedger
-    from repro.sim.sweep import pool_map
+    from repro.sim.sweep import ResultLedger, pool_map
 
     root = Path(frontier_dir)
     root.mkdir(parents=True, exist_ok=True)

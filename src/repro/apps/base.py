@@ -41,22 +41,17 @@ class AppContext:
     def build_sources(self, body: BodyFn) -> List[List[ThreadProgram]]:
         """Instantiate ``body(k, g)`` for every global thread ``g``.
 
-        Programs record their resume logs when the machine asks for
-        checkpointable sources (``machine.record_programs``), which is
-        what lets :mod:`repro.sim.checkpoint` rebuild the coroutines.
-
         This is the single chokepoint for source construction:
         :func:`repro.apps.compile.build_program` picks the superblock-
         compiled program classes, or the reference interpreter under
         ``REPRO_APP_INTERP=1``.
         """
-        record = getattr(self.machine, "record_programs", False)
         sources: List[List[ThreadProgram]] = [[] for _ in range(self.n_nodes)]
         for g in range(self.n_threads):
             prog = build_program(
                 body, lambda kk, gg=g: body(kk, gg),
                 thread=g % self.ways, pc_base=PC_BASE + g * PC_STRIDE,
-                wheel=self.machine.wheel, record=record,
+                wheel=self.machine.wheel,
             )
             sources[self.node_of(g)].append(prog)
         return sources

@@ -19,9 +19,8 @@ running it) but compiles everything around it:
   (:meth:`KernelBuilder._stamp`); compiled builders resolve their
   template store through :func:`shared_templates`, keyed by
   ``(kernel, thread, pc_base)``, so the decode work survives program
-  rebuilds — repeated cells in one process, and the throwaway
-  reconstruction :mod:`repro.sim.checkpoint` performs on restore, stamp
-  from already-populated caches.
+  rebuilds: repeated cells in one process stamp from already-populated
+  caches.
 
 * **Memoized branch/flush-point boundaries.**  Each coroutine
   resumption emits one *superblock*: a straight-line run of µops ending
@@ -31,12 +30,8 @@ running it) but compiles everything around it:
   core's fast fetch consumes whole straight-line slices between
   boundaries.
 
-* **Regraftable generator state.**  Buffering is an indexed cursor
-  (``pos``) over the builder's buffer — no list-head churn — and the
-  cursor, boundary list and resume log all pickle, so
-  ``Machine.snapshot()/restore()`` keeps working: restore replays the
-  resume log into a freshly built generator exactly as for the
-  interpreted program (:meth:`ThreadProgram.graft_from`).
+* **Cursor buffering.**  Buffering is an indexed cursor (``pos``)
+  over the builder's buffer — no list-head churn.
 
 **Bit-identity contract.**  The interpreted classes stay in-tree as the
 executable specification; ``REPRO_APP_INTERP=1`` routes source
@@ -49,9 +44,8 @@ in ``tests/test_app_compile.py``) hold the two modes to identical
 and workload.
 
 Bump :data:`APP_COMPILER_VERSION` whenever compiled-mode semantics
-change: it is folded into the sweep result-cache key (and into
-checkpoint payloads) so stale rows can never be served across compiler
-revisions.
+change: it is folded into the sweep result-cache key so stale rows
+can never be served across compiler revisions.
 """
 
 from __future__ import annotations
@@ -62,8 +56,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.apps.program import KernelBuilder, KernelFn, ThreadProgram
 from repro.isa.uop import Uop
 
-#: Folded into the sweep cache key and checkpoint payloads; bump on any
-#: semantic change to compiled-mode emission or the core fast path.
+#: Folded into the sweep cache key; bump on any semantic change to
+#: compiled-mode emission or the core fast path.
 APP_COMPILER_VERSION = 1
 
 
@@ -94,7 +88,7 @@ def kernel_key(body: Callable[..., object]) -> str:
     Module-qualified name rather than object identity: the lambdas
     :meth:`AppContext.build_sources` wraps around a body are recreated
     per build, but the body function itself is stable, so rebuilt
-    programs (repeat cells, checkpoint restore) hit the same store.
+    programs (repeat cells) hit the same store.
     """
     mod = getattr(body, "__module__", "?")
     qual = getattr(body, "__qualname__", getattr(body, "__name__", "?"))
@@ -136,9 +130,9 @@ class CompiledKernelBuilder(KernelBuilder):
 class CompiledProgram(ThreadProgram):
     """Superblock-compiled source: indexed buffering + boundary memo.
 
-    Drop-in for :class:`ThreadProgram` (same pipeline source interface,
-    same resume-log checkpointing), plus the compiled-state the core's
-    fast fetch consumes directly:
+    Drop-in for :class:`ThreadProgram` (same pipeline source
+    interface), plus the compiled-state the core's fast fetch consumes
+    directly:
 
     * ``k.buffer`` / ``pos`` — the decoded stream and the fetch cursor
       (``next_uop`` is ``buffer[pos]; pos += 1``; ``push_back`` is
@@ -155,9 +149,8 @@ class CompiledProgram(ThreadProgram):
         kernel: KernelFn,
         builder: KernelBuilder,
         wheel: Any = None,
-        record: bool = False,
     ) -> None:
-        super().__init__(kernel, builder, wheel=wheel, record=record)
+        super().__init__(kernel, builder, wheel=wheel)
         self.pos = 0
         self.breaks: List[int] = []
         self._bscan = 0
@@ -211,13 +204,6 @@ class CompiledProgram(ThreadProgram):
                 breaks.append(i)
         self._bscan = len(buf)
 
-    # -- checkpointing -----------------------------------------------------
-    def graft_from(self, fresh: "ThreadProgram") -> None:
-        # The restored cursor/boundary state (pickled fields of self)
-        # already matches the restored buffer; only the coroutine and
-        # its paired builder need rebuilding.
-        super().graft_from(fresh)
-
 
 def build_program(
     body: Callable[..., object],
@@ -225,7 +211,6 @@ def build_program(
     thread: int,
     pc_base: int,
     wheel: Any = None,
-    record: bool = False,
 ) -> ThreadProgram:
     """Build one thread's source in the session's execution mode.
 
@@ -235,9 +220,9 @@ def build_program(
     if app_interp_forced():
         return ThreadProgram(
             kernel, KernelBuilder(thread=thread, pc_base=pc_base),
-            wheel=wheel, record=record,
+            wheel=wheel,
         )
     store = shared_templates((kernel_key(body), thread, pc_base))
     builder = CompiledKernelBuilder(thread=thread, pc_base=pc_base,
                                     templates=store)
-    return CompiledProgram(kernel, builder, wheel=wheel, record=record)
+    return CompiledProgram(kernel, builder, wheel=wheel)

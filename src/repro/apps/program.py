@@ -279,17 +279,7 @@ KernelFn = Callable[[KernelBuilder], Iterator]
 
 
 class ThreadProgram:
-    """Adapts a kernel coroutine to the pipeline's source interface.
-
-    With ``record=True`` the program keeps a *resume log*: one entry
-    per coroutine resumption (``None`` for a plain ``next``, the sent
-    integer for an ``AWAIT`` reply).  Python generators cannot be
-    pickled, so checkpointing (:mod:`repro.sim.checkpoint`) drops the
-    generator on serialization and, on restore, re-creates a fresh one
-    from the application spec and replays the log into it — the
-    coroutine is deterministic given its resume sequence, so the
-    replayed frame lands in the exact suspended state.
-    """
+    """Adapts a kernel coroutine to the pipeline's source interface."""
 
     _NOTHING = object()
 
@@ -303,7 +293,6 @@ class ThreadProgram:
         kernel: KernelFn,
         builder: KernelBuilder,
         wheel: Any = None,
-        record: bool = False,
     ) -> None:
         self.k = builder
         self._gen = kernel(builder)
@@ -312,7 +301,6 @@ class ThreadProgram:
         self._sleeping = False
         self._done = False
         self._wheel = wheel
-        self._log: Optional[List[Optional[int]]] = [] if record else None
         #: Wake hook (activity contract): set by the machine to the
         #: host core's ``wake_fetch()`` so sleep-backoff expiry re-enables
         #: fetch without the core polling ``peek_available``.
@@ -355,12 +343,8 @@ class ThreadProgram:
             try:
                 if self._send_value is not self._NOTHING:
                     value, self._send_value = self._send_value, self._NOTHING
-                    if self._log is not None:
-                        self._log.append(value)
                     item = self._gen.send(value)
                 else:
-                    if self._log is not None:
-                        self._log.append(None)
                     item = next(self._gen)
             except StopIteration:
                 self._done = True
@@ -381,51 +365,6 @@ class ThreadProgram:
         self._sleeping = False
         if self.on_wake is not None:
             self.on_wake()
-
-    # -- checkpointing -----------------------------------------------------
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_gen"] = None  # generators cannot pickle; see graft_from
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    def graft_from(self, fresh: "ThreadProgram") -> None:
-        """Rebuild this (restored) program's coroutine from ``fresh``.
-
-        ``fresh`` is a newly built program for the same thread of the
-        same application spec.  Its virgin generator is replayed
-        through this program's resume log, then grafted in along with
-        its builder (the generator frame closes over the fresh builder,
-        so the two must stay paired); the builder's mutable fields are
-        overwritten with the restored values so emission resumes where
-        the snapshot left off.
-        """
-        if self._log is None:
-            raise ValueError(
-                "cannot restore a ThreadProgram that was not recording "
-                "(build sources with record=True)"
-            )
-        gen = fresh._gen
-        for entry in self._log:
-            try:
-                if entry is None:
-                    next(gen)
-                else:
-                    gen.send(entry)
-            except StopIteration:
-                break  # the final logged resumption finished the kernel
-        old_k = self.k
-        fresh_k = fresh.k
-        fresh_k.thread = old_k.thread
-        fresh_k.pc = old_k.pc
-        fresh_k.buffer = old_k.buffer
-        fresh_k._int_rot = old_k._int_rot
-        fresh_k._fp_rot = old_k._fp_rot
-        fresh_k.await_uop = old_k.await_uop
-        self.k = fresh_k
-        self._gen = gen
 
     def _on_value(self, value: int) -> None:
         self._waiting = False

@@ -48,7 +48,7 @@ BLOCKED = "blocked"
 ProbeResponse = Callable[[bool, bool, int], None]  # (found, dirty, version)
 
 
-# Picklable default ports (standalone hierarchies in unit tests).
+# Default ports (standalone hierarchies in unit tests).
 def _discard(*args) -> None:
     pass
 
@@ -165,9 +165,7 @@ class CacheHierarchy:
         self._imisses: Dict[int, List[Callable[[], None]]] = {}
 
         # ---- wiring installed by the Node ----
-        # Defaults are module-level functions (not lambdas) so a
-        # hierarchy pickles even before/without Node wiring
-        # (:mod:`repro.sim.checkpoint`).
+        # Defaults serve standalone hierarchies; the Node rewires them.
         self.schedule: Callable[[int, Callable[[], None]], None] = _run_now
         # Application-space L2 miss: hand the MSHR entry to the MC.
         self.app_miss_port: Callable[[MSHREntry], None] = _discard

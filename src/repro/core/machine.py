@@ -134,14 +134,6 @@ class Machine:
         self.skipped_cycles = 0
         #: Escape hatch: force the pre-event-driven dense loops.
         self.dense_step = os.environ.get("REPRO_DENSE_STEP", "") == "1"
-        #: When true, application sources are built with resume-log
-        #: recording so the whole machine can be checkpointed (set
-        #: before building sources; see :mod:`repro.sim.checkpoint`).
-        self.record_programs = False
-        #: How to rebuild this machine's workload from scratch (a
-        #: :class:`repro.sim.checkpoint.CheckpointSpec`); required by
-        #: :meth:`snapshot` so restore can re-create the coroutines.
-        self.ckpt_spec = None
 
     # ------------------------------------------------------------------
     def install_cores(self, sources_per_node: List[list]) -> None:
@@ -575,34 +567,6 @@ class Machine:
             if node.core is not None:
                 lines.append(node.core.describe_state())
         return "\n".join(lines)
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> bytes:
-        """Serialize the complete simulation state to bytes.
-
-        Requires the machine to have been built through
-        :func:`repro.sim.checkpoint.build_checkpointable` (which sets
-        ``record_programs`` and ``ckpt_spec``).  Restoring the returned
-        bytes with :meth:`restore` yields a machine that continues
-        bit-identically to one that was never suspended.
-        """
-        from repro.sim import checkpoint
-
-        # Settle active-set sleep state so the serialized arbitration
-        # parity and stall/busy counters match a dense-stepped machine's.
-        for mc in self._mcs:
-            if mc._sleep_from:
-                mc.mc_wake()
-        for core in self._cores:
-            core.settle()
-        return checkpoint.snapshot(self)
-
-    @staticmethod
-    def restore(data: bytes) -> "Machine":
-        """Rebuild a machine from :meth:`snapshot` bytes."""
-        from repro.sim import checkpoint
-
-        return checkpoint.restore(data)
 
     # ------------------------------------------------------------------
     def collect_stats(self) -> MachineStats:

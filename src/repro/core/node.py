@@ -12,7 +12,6 @@ protocol-thread port), and owns the node-local backing stores:
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.caches.hierarchy import CacheHierarchy
@@ -24,13 +23,6 @@ from repro.memctrl.ppengine import PPEngine
 from repro.network.messages import Message
 from repro.protocol.directory import DirectoryLayout
 from repro.protocol.isa import HandlerTable
-
-
-def _read_word(words: Dict[int, int], addr: int) -> int:
-    """Module-level word reader: ``partial(_read_word, words)`` stays
-    picklable where a closure over ``words`` would not
-    (:mod:`repro.sim.checkpoint`)."""
-    return words.get(addr, 0)
 
 
 class Node:
@@ -74,7 +66,7 @@ class Node:
         h.proto_miss_port = self.mc.proto_miss
         h.writeback_port = self.mc.writeback
         h.proto_writeback_port = self.mc.proto_writeback
-        h.read_word = partial(_read_word, words)
+        h.read_word = lambda addr: words.get(addr, 0)
         h.write_word = words.__setitem__
 
         if mp.protocol_engine == "pp":

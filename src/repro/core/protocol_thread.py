@@ -143,23 +143,6 @@ class ProtocolThreadSource:
         self._use_compiled = not pcompile.interp_forced()
         self._emit = None
 
-    # -- checkpointing ----------------------------------------------------
-    # ``_emit`` is a compiled-step closure and cannot pickle.  The
-    # invariant maintained by every u_* step (and by ``start``) is that
-    # ``_emit`` is the step for instruction ``self.index``, so it can be
-    # dropped on serialization and re-derived from the (recompiled)
-    # handler program on restore.
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_emit"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self.fetching and self._use_compiled and self.ctx is not None:
-            steps = pcompile.compiled_for(self.ctx.handler).uop_steps
-            self._emit = steps[self.index]
-
     # -- frontend source interface ------------------------------------------
     def peek_available(self) -> bool:
         return bool(self._buffer) or self.fetching

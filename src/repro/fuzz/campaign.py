@@ -348,7 +348,7 @@ def run_campaign(
 ) -> List[FuzzResult]:
     """Run every cell, ``jobs`` at a time (0 = inline), in input order.
 
-    ``ledger`` (a :class:`repro.sim.queue.ResultLedger`) makes the
+    ``ledger`` (a :class:`repro.sim.sweep.ResultLedger`) makes the
     campaign durable: finished cells recorded there are replayed
     instead of re-fuzzed, so a killed campaign resumes where it died
     (``python -m repro fuzz --ledger DIR``).

@@ -113,14 +113,11 @@ class Uop:
         "pdest_old",
         "checkpoint",
         "mem_seq",
-        "predicted_taken",
         "mispredicted",
         "issued",
         "completed",
-        "complete_cycle",
         "squashed",
         "in_lsq",
-        "in_sb",
         "result_value",
     )
 
@@ -190,14 +187,11 @@ class Uop:
         self.pdest_old = -1
         self.checkpoint = None
         self.mem_seq = -1
-        self.predicted_taken = False
         self.mispredicted = False
         self.issued = False
         self.completed = False
-        self.complete_cycle = -1
         self.squashed = False
         self.in_lsq = False
-        self.in_sb = False
         self.result_value = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -246,14 +240,11 @@ class Uop:
         u.pdest_old = -1
         u.checkpoint = None
         u.mem_seq = -1
-        u.predicted_taken = False
         u.mispredicted = False
         u.issued = False
         u.completed = False
-        u.complete_cycle = -1
         u.squashed = False
         u.in_lsq = False
-        u.in_sb = False
         u.result_value = 0
         return u
 
@@ -312,13 +303,10 @@ def protocol_uop(
     u.pdest_old = -1
     u.checkpoint = None
     u.mem_seq = -1
-    u.predicted_taken = False
     u.mispredicted = False
     u.issued = False
     u.completed = False
-    u.complete_cycle = -1
     u.squashed = False
     u.in_lsq = False
-    u.in_sb = False
     u.result_value = 0
     return u

@@ -14,6 +14,7 @@ protocol uses three) follows the deadlock-free sink ordering:
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -81,26 +82,8 @@ def virtual_network(mtype: MsgType) -> int:
     return 1
 
 
-class _MsgIdSource:
-    """Monotonic message-uid source.
-
-    A plain class (not :func:`itertools.count`) so checkpointing can
-    read the current position without consuming it and reseat it on
-    restore (:mod:`repro.sim.checkpoint`).
-    """
-
-    __slots__ = ("next_id",)
-
-    def __init__(self) -> None:
-        self.next_id = 0
-
-    def __call__(self) -> int:
-        uid = self.next_id
-        self.next_id = uid + 1
-        return uid
-
-
-_msg_ids = _MsgIdSource()
+#: Monotonic message-uid source.
+_msg_ids = itertools.count().__next__
 
 
 @dataclass

@@ -336,16 +336,7 @@ class SMTCore(ReferenceStages):
         #   changed (dispatch, protocol fetch/rename/retire/squash); it
         #   is re-derived at the next step's start, where the dense
         #   step samples it.
-        # Restored checkpoints start cold (see __setstate__).
         self._t_all = (1 << n) - 1
-        self._cm_dirty = self._t_all
-        self._ft_parked = 0
-        self._busy_dirty = self._tproto is not None
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Verdicts are caches, not state: rebuild them cold.  Anchors
-        # are state and were settled by Machine.snapshot.
         self._cm_dirty = self._t_all
         self._ft_parked = 0
         self._busy_dirty = self._tproto is not None
@@ -444,7 +435,7 @@ class SMTCore(ReferenceStages):
 
     def settle(self) -> None:
         """Bring the accrued counters up to date through the current
-        cycle, for a stats read or checkpoint between machine cycles."""
+        cycle, for a stats read between machine cycles."""
         if self._accruing:
             self._settle(self.wheel.now + 1, False)
 
@@ -1569,7 +1560,6 @@ class SMTCore(ReferenceStages):
             if predicted_taken and self.btb.lookup(uop.pc) is None:
                 predicted_taken = False  # no target available
             target_ok = True
-        uop.predicted_taken = predicted_taken
         uop.mispredicted = (predicted_taken != uop.taken) or (
             uop.taken and not target_ok
         )
@@ -2209,7 +2199,6 @@ class SMTCore(ReferenceStages):
         if uop.squashed or uop.completed:
             return
         uop.completed = True
-        uop.complete_cycle = self.wheel.now
         preg = uop.pdest
         if preg != -1:
             # rename.mark_ready, inlined (once per completed µop).

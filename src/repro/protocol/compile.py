@@ -126,7 +126,7 @@ _ALU_FN: dict = {
 class CompiledHandler:
     """The three compiled programs of one placed handler."""
 
-    __slots__ = ("name", "pc", "func_entry", "pp_entry", "uop_entry", "uop_steps")
+    __slots__ = ("name", "pc", "func_entry", "pp_entry", "uop_entry")
 
     def __init__(self, handler: Handler) -> None:
         self.name = handler.name
@@ -135,11 +135,7 @@ class CompiledHandler:
         self.pc = handler.pc
         self.func_entry: StepFn = _compile(handler, _func_factory)
         self.pp_entry: StepFn = _compile(handler, _pp_factory(handler))
-        # The full µop step list (not just the entry) so a restored
-        # checkpoint can re-enter a handler at the suspended fetch index
-        # (repro.core.protocol_thread resumes via ``uop_steps[index]``).
-        self.uop_steps: List[StepFn] = _compile_steps(handler, _uop_factory(handler))
-        self.uop_entry: StepFn = self.uop_steps[0]
+        self.uop_entry: StepFn = _compile(handler, _uop_factory(handler))
 
 
 def compiled_for(handler: Handler) -> CompiledHandler:
@@ -191,11 +187,9 @@ def _link(steps: List[Optional[StepFn]], target: int) -> StepFn:
     return run
 
 
-def _compile_steps(handler: Handler, factory: _Factory) -> List[StepFn]:
-    """Build ``handler``'s threaded-code program with ``factory``.
-
-    Returns the per-instruction step list; ``steps[0]`` is the entry.
-    """
+def _compile(handler: Handler, factory: _Factory) -> StepFn:
+    """Build ``handler``'s threaded-code program with ``factory`` and
+    return its entry step."""
     instrs = handler.instrs
     n = len(instrs)
     steps: List[Optional[StepFn]] = [None] * n
@@ -215,12 +209,7 @@ def _compile_steps(handler: Handler, factory: _Factory) -> List[StepFn]:
             assert instr.target <= i or tgt is not None
         steps[i] = factory(instr, i, nxt, tgt)
     assert steps[0] is not None
-    return steps  # type: ignore[return-value]
-
-
-def _compile(handler: Handler, factory: _Factory) -> StepFn:
-    """Build ``handler``'s program and return its entry step."""
-    return _compile_steps(handler, factory)[0]
+    return steps[0]
 
 
 def _trap_message(instr: PInstr, index: int) -> str:

@@ -212,7 +212,8 @@ class Handler:
 
     # Compiled programs are closures and cannot be pickled; drop the
     # cache on serialization — ``compiled_for`` rebuilds it (the same
-    # deterministic threaded code) on first dispatch after a restore.
+    # deterministic threaded code) on first dispatch in the process
+    # that unpickles the table (model-check pool workers).
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["compiled"] = None

@@ -59,7 +59,7 @@ class ProtocolBundle:
 
     Frozen and built from module-level callables/constants only, so a
     bundle held by a :class:`repro.core.machine.Machine` pickles by
-    reference (machine checkpointing, pool workers).
+    reference (model-check pool workers).
     """
 
     name: str

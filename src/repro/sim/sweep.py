@@ -29,6 +29,8 @@ Entry points:
 * :func:`pool_map` — the underlying generic worker pool (one
   terminate-able subprocess per in-flight item); also drives
   :func:`repro.fuzz.campaign.run_campaign`.
+* :class:`ResultLedger` — ``pool_map``'s durable completed-item store
+  (``repro fuzz --ledger``, the model checker's disk frontier).
 
 ``python -m repro sweep`` wraps all of this on the command line.
 """
@@ -309,9 +311,13 @@ class ResultCache:
             "stats": result.stats,
             "elapsed_s": round(result.elapsed_s, 3),
         }
-        tmp = self._path(key).with_suffix(".tmp")
+        # A temp name per writer process: two sweeps sharing a cache
+        # dir and a cell each replace the final file whole and never
+        # clobber the other's half-written temp.
+        path = self._path(key)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(json.dumps(record, sort_keys=True))
-        os.replace(tmp, self._path(key))  # atomic under concurrent sweeps
+        os.replace(tmp, path)
         self._written.add(key)
 
 
@@ -321,8 +327,8 @@ class ResultCache:
 
 
 #: (model, app, preset, flags) combinations this process has already
-#: warm-started — queue workers run many cells per process and only
-#: pay the prebuild once per distinct configuration.
+#: warm-started — an inline sweep runs many cells per process and only
+#: pays the prebuild once per distinct configuration.
 _WARMED: set = set()
 
 
@@ -438,6 +444,38 @@ def _pool_worker(conn, fn, payload) -> None:
         conn.close()
 
 
+class ResultLedger:
+    """Durable completed-item store for :func:`pool_map`.
+
+    One JSON file per finished item, keyed by a hash of the item's
+    identity.  ``pool_map`` consults the ledger before spawning a
+    worker and records every ``fn`` outcome after, so a killed
+    campaign replays finished items instantly on restart and only
+    re-runs the interrupted ones.  Timeouts and crashes are never
+    recorded — they stay retryable.
+    """
+
+    def __init__(self, root) -> None:
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+
+    def _path(self, ident: object) -> Path:
+        digest = hashlib.sha256(repr(ident).encode()).hexdigest()[:32]
+        return self.root / f"{digest}.json"
+
+    def get(self, ident: object) -> Optional[Dict]:
+        try:
+            return json.loads(self._path(ident).read_text())
+        except (OSError, json.JSONDecodeError):
+            return None
+
+    def put(self, ident: object, outcome: Dict) -> None:
+        path = self._path(ident)
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        tmp.write_text(json.dumps(outcome, sort_keys=True))
+        os.replace(tmp, path)
+
+
 def pool_map(
     pending: Sequence[Tuple[object, object]],
     fn: Callable[[object], Dict[str, object]],
@@ -466,7 +504,7 @@ def pool_map(
     result.  Timeouts and crashes are retried up to ``retries`` extra
     attempts before being reported; ``fn`` results never are.
 
-    ``ledger`` (a :class:`repro.sim.queue.ResultLedger`) makes the map
+    ``ledger`` (a :class:`ResultLedger`) makes the map
     durable across process restarts: items the ledger already holds
     are replayed to ``on_done`` (with ``attempts=0``) without spawning
     a worker, and every fresh ``fn`` outcome is recorded.  Timeouts

@@ -542,3 +542,86 @@ def test_active_set_vs_dense_congruence_n4(app, protocol):
         "active set should be skipping idle cycles at n=4"
     assert event_stats == dense_stats
     assert event_trace == dense_trace
+
+
+# ----------------------------------------------------------------------
+# Mid-run stats reads: lazily accrued counters settle exactly.
+# ----------------------------------------------------------------------
+
+
+def _installed_water_smtp(protocol: str):
+    """water/smtp n=4 2-way ``tiny`` with its cores installed, unrun."""
+    machine = build_machine("smtp", n_nodes=4, ways=2, protocol=protocol)
+    machine.install_cores(
+        app_sources("water", machine, dict(preset_sizes("water", "tiny"))))
+    return machine
+
+
+def _finish(machine) -> dict:
+    machine.run(30_000_000)
+    assert machine.all_done()
+    machine.quiesce()
+    machine.finish()
+    machine.final_checks()
+    return machine.collect_stats().to_dict()
+
+
+def _anchors_open(machine) -> bool:
+    """An awake core holds a stalled thread (open stall anchor) while
+    another core sleeps: a stats read must settle both."""
+    cores = machine._cores
+    return any(c._asleep for c in cores) and any(
+        not c._asleep and any(t.stall_from and t.rob for t in c.threads)
+        for c in cores
+    )
+
+
+def _probe_when_anchors_open(machine, probe) -> list:
+    """Run ``machine`` to the end, calling ``probe(machine)`` between
+    two cycles of its event loop the first time anchors are open."""
+    fired = []
+    event_step = machine._event_step
+
+    def stepped() -> bool:
+        awake = event_step()
+        if not fired and _anchors_open(machine):
+            del machine._event_step  # run() holds its own reference
+            fired.append(probe(machine))
+        return awake
+
+    machine._event_step = stepped
+    machine.run(30_000_000)
+    machine.__dict__.pop("_event_step", None)
+    return fired
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_mid_run_stats_reads_settle_anchors_exactly(monkeypatch, protocol):
+    """Stall and busy cycles accrue lazily from anchor cycles.  A
+    ``collect_stats()`` taken while anchors are open — mid-run, inside
+    the event loop — must settle them without double-counting or
+    dropping a cycle: the read equals the REPRO_DENSE_STEP=1
+    REPRO_APP_INTERP=1 reference's stats at the same cycle, and the run
+    then finishes on the uninterrupted stats (``skipped_cycles``
+    included) and on the reference's."""
+    straight = _finish(_installed_water_smtp(protocol))
+
+    m = _installed_water_smtp(protocol)
+    reads = _probe_when_anchors_open(
+        m, lambda mm: (mm.cycle, mm.collect_stats().to_dict()))
+    assert reads
+    assert _finish(m) == straight
+
+    monkeypatch.setenv("REPRO_DENSE_STEP", "1")
+    monkeypatch.setenv("REPRO_APP_INTERP", "1")
+    cycle, mid_run = reads[0]
+    ref = _installed_water_smtp(protocol)
+    while ref.cycle < cycle:
+        ref.step()
+    ref_mid_run = ref.collect_stats().to_dict()
+    reference = _finish(ref)
+
+    for d in (mid_run, ref_mid_run, straight, reference):
+        d.pop("skipped_cycles")
+    assert mid_run == ref_mid_run
+    assert reference == straight

@@ -303,3 +303,22 @@ class TestCampaign:
         cell = FuzzCell(seed=1, model="smtp", stress=StressConfig(n_ops=60))
         result = run_fuzz_cell(cell, out_dir=tmp_path)
         assert result.status == "ok", result.error
+
+    def test_campaign_ledger_resumes_without_refuzzing(self, tmp_path,
+                                                         monkeypatch):
+        from repro.fuzz import campaign as fc
+        from repro.sim.sweep import ResultLedger
+
+        cells = fc.make_cells([11, 12], n_nodes=1, max_cycles=300_000)
+        ledger = ResultLedger(tmp_path / "ledger")
+        first = fc.run_campaign(cells, jobs=0, out_dir=tmp_path / "art",
+                                shrink=False, ledger=ledger)
+        assert all(r.ok for r in first)
+
+        def boom(*a, **k):  # a replayed campaign must not fuzz anything
+            raise AssertionError("run_fuzz_cell called on a fully-recorded run")
+
+        monkeypatch.setattr(fc, "run_fuzz_cell", boom)
+        second = fc.run_campaign(cells, jobs=0, out_dir=tmp_path / "art",
+                                 shrink=False, ledger=ledger)
+        assert [r.to_dict() for r in second] == [r.to_dict() for r in first]

@@ -76,7 +76,7 @@ class TestRegistry:
             assert nd[MsgType.AM_REPLY] == "h_am_reply"
 
     def test_bundle_is_picklable(self):
-        # Model-check worker payloads and machine checkpoints carry the
+        # Model-check worker payloads carry the
         # bundle object by value.
         for name in registry.names():
             clone = pickle.loads(pickle.dumps(registry.get(name)))

@@ -5,21 +5,35 @@ simulation finishes in well under a second.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.sim import sweep as sweep_mod
 from repro.sim.sweep import (
     CellResult,
     ResultCache,
+    ResultLedger,
     SweepCell,
     code_version,
     make_grid,
+    pool_map,
     run_sweep,
     write_bench_json,
 )
 
 FAST = dict(preset="tiny")
+
+#: Environment for a child ``python`` that imports this checkout's
+#: ``repro``.
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": str(Path(repro.__file__).resolve().parent.parent)}
 
 
 def fast_cell(app="water", model="smtp", **kw):
@@ -112,6 +126,36 @@ class TestResultCache:
         assert first.status == "failed"
         assert list(tmp_path.glob("*.json")) == []
 
+    def test_concurrent_writers_on_one_key_do_not_collide(
+            self, tmp_path, monkeypatch):
+        """Two sweeps sharing a cache dir and a cell: writer B, another
+        process, puts the whole entry while writer A sits between
+        writing its temp file and renaming it into place.  Neither
+        writer may remove the other's temp file or land a torn entry."""
+        cell = fast_cell()
+        key = cell.cache_key()
+        writer_b = (
+            "import sys\n"
+            "from repro.sim.sweep import CellResult, ResultCache, SweepCell\n"
+            "cell = SweepCell.make('water', 'smtp', preset='tiny')\n"
+            "ResultCache(sys.argv[1]).put(\n"
+            "    sys.argv[2], CellResult(cell, 'ok', stats={'cycles': 2}))\n"
+        )
+        real_replace = os.replace
+
+        def replace_after_writer_b(src, dst):
+            subprocess.run([sys.executable, "-c", writer_b, str(tmp_path), key],
+                           env=CHILD_ENV, check=True)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(sweep_mod.os, "replace", replace_after_writer_b)
+        ResultCache(tmp_path).put(key, CellResult(cell, "ok",
+                                                  stats={"cycles": 1}))
+        monkeypatch.undo()
+
+        assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+        assert ResultCache(tmp_path).get(key) == {"cycles": 1}  # A renamed last
+
     def test_duplicate_cells_simulated_once(self, tmp_path):
         cache = ResultCache(tmp_path)
         results = run_sweep([fast_cell(), fast_cell()], jobs=0, cache=cache)
@@ -142,6 +186,82 @@ class TestResultCache:
         monkeypatch.setenv("REPRO_APP_INTERP", "1")
         interp_row = run_sweep([fast_cell()], jobs=0, cache=cache)[0]
         assert not interp_row.cached
+
+
+def _double(payload):
+    return {"value": payload * 2}
+
+
+def test_pool_map_ledger_replays_finished_items(tmp_path):
+    ledger = ResultLedger(tmp_path / "ledger")
+    pending = [("a", 1), ("b", 2)]
+
+    seen = {}
+    pool_map(pending, _double, jobs=2,
+             on_done=lambda i, p, o, e, a: seen.update({i: (o, a)}),
+             ledger=ledger)
+    assert seen["a"][0] == {"value": 2} and seen["a"][1] == 1
+
+    replayed = {}
+    pool_map(pending, _double, jobs=2,
+             on_done=lambda i, p, o, e, a: replayed.update({i: (o, a)}),
+             ledger=ledger)
+    assert replayed == {
+        "a": ({"value": 2}, 0),
+        "b": ({"value": 4}, 0),
+    }, "second run must replay from the ledger (attempts=0, no worker)"
+
+
+#: Per-run provenance and timing in a BENCH cell record; everything
+#: else (coordinates, status, stats, error) must match across runs.
+RUN_FIELDS = ("elapsed_s", "compile_s", "cycles_per_sec", "cached", "attempts")
+
+
+def _sweep_cmd(cache_dir, out_dir):
+    return [sys.executable, "-m", "repro", "sweep",
+            "--apps", "fft,lu,ocean", "--models", "base", "--preset", "tiny",
+            "--jobs", "0", "--cache-dir", str(cache_dir), "--out", str(out_dir)]
+
+
+def _bench_cells(out_dir):
+    doc = json.loads((out_dir / "BENCH_sweep.json").read_text())
+    return [{k: v for k, v in cell.items() if k not in RUN_FIELDS}
+            for cell in doc["cells"]], doc
+
+
+def test_sigkilled_sweep_resumes_from_the_cache(tmp_path):
+    """A sweep SIGKILLed as soon as its first cell lands in the cache,
+    then rerun, reports exactly the cells of an uninterrupted sweep;
+    the rerun serves the finished cell from the cache."""
+    straight_out = tmp_path / "straight"
+    subprocess.run(_sweep_cmd(tmp_path / "straight_cache", straight_out),
+                   env=CHILD_ENV, check=True, capture_output=True)
+    straight, _ = _bench_cells(straight_out)
+    assert [c["status"] for c in straight] == ["ok"] * 3
+
+    cache_dir, out_dir = tmp_path / "cache", tmp_path / "out"
+    victim = subprocess.Popen(_sweep_cmd(cache_dir, out_dir), env=CHILD_ENV,
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not list(cache_dir.glob("*.json")):
+            assert victim.poll() is None, "sweep exited before caching a cell"
+            assert time.monotonic() < deadline, "no cell reached the cache"
+            time.sleep(0.005)
+        victim.send_signal(signal.SIGKILL)
+    finally:
+        victim.kill()
+        victim.wait()
+    assert victim.returncode == -signal.SIGKILL
+    assert not (out_dir / "BENCH_sweep.json").exists()
+    assert len(list(cache_dir.glob("*.json"))) < 3, "killed after the last cell"
+
+    subprocess.run(_sweep_cmd(cache_dir, out_dir), env=CHILD_ENV, check=True,
+                   capture_output=True)
+    resumed, doc = _bench_cells(out_dir)
+    assert resumed == straight
+    assert doc["n_cached"] >= 1, "rerun re-simulated the finished cell"
 
 
 class TestDegradation:

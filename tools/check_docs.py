@@ -51,6 +51,14 @@ And for the named sweep grids:
 8. **No phantom grids** — every ``--grid NAME`` a checked doc quotes
    must be listed by the live ``repro sweep --list-grids``.
 
+And for module paths:
+
+9. **No dead module paths** — every dotted ``repro.…`` path in
+   README.md, DESIGN.md, EXPERIMENTS.md or ``docs/*.md``, and every
+   ``repro.…`` target of a Sphinx role (``:mod:``, ``:class:``,
+   ``:func:``, ``:meth:``, …) in ``src/repro``, must import as a
+   module or resolve by attribute from the longest prefix that does.
+
 Run as ``make docs-check`` or ``python tools/check_docs.py``; exit 0
 clean, 1 stale.  ``tests/test_docs.py`` wraps it so staleness also
 fails tier-1.
@@ -59,6 +67,7 @@ fails tier-1.
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -122,6 +131,14 @@ REQUIRED_TARGETS = ("smoke", "smtp16-smoke")
 # `--grid NAME` quoted in a doc; NAME must be a live named grid.
 GRID_RE = re.compile(r"--grid[ =]([a-z][a-z0-9_-]*)")
 
+# Dotted `repro.…` paths: anywhere in a path doc, and as the target of
+# a Sphinx role (optionally `~`-shortened) in the package sources.
+DOTTED_RE = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+ROLE_RE = re.compile(
+    r":(?:mod|class|func|meth|attr|data|exc):`~?(repro(?:\.[A-Za-z_]\w*)+)`"
+)
+PATH_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
+
 # Where the invariant codes are declared and where they are listed.
 INVARIANTS_SOURCE = "src/repro/protocol/invariants.py"
 INVARIANTS_DOC = "docs/analyze.md"
@@ -178,6 +195,39 @@ def documented_invariant_codes(doc: str) -> set[str]:
     match = re.search(r"^## Invariants\n(.*?)(?=^## |\Z)", doc,
                       re.MULTILINE | re.DOTALL)
     return set(INVARIANT_ITEM_RE.findall(match.group(1))) if match else set()
+
+
+def resolves(dotted: str) -> bool:
+    """True when ``dotted`` imports as a module, or its longest
+    importable prefix reaches the rest by ``getattr``."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        try:
+            for attr in parts[i:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def dead_module_paths(root: Path = REPO) -> list[str]:
+    """One line per checked ``repro.…`` path under ``root`` that no
+    longer resolves in the importable ``repro`` package."""
+    found: list[tuple[str, str]] = []
+    for pattern in PATH_DOCS:
+        for path in sorted(root.glob(pattern)):
+            for dotted in sorted(set(DOTTED_RE.findall(path.read_text()))):
+                found.append((str(path.relative_to(root)), dotted))
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        for dotted in sorted(set(ROLE_RE.findall(path.read_text()))):
+            found.append((str(path.relative_to(root)), dotted))
+    return [f"{rel}: names {dotted}, which no longer resolves"
+            for rel, dotted in found if not resolves(dotted)]
 
 
 def repro_stdout(*args: str) -> str:
@@ -331,6 +381,11 @@ def main() -> int:
                 f"{rel}: quotes `--grid {grid}`, which `repro sweep "
                 f"--list-grids` does not list"
             )
+
+    # Direction 9: named module paths still resolve.
+    if str(REPO / "src") not in sys.path:
+        sys.path.insert(0, str(REPO / "src"))
+    problems.extend(dead_module_paths())
 
     for line in problems:
         print(f"docs-check: {line}")
