@@ -50,10 +50,12 @@ model-deep:
 	PYTHONPATH=src $(PYTHON) -m repro analyze --jobs 1 \
 		--lines 2 --bench-model BENCH_model.json
 
-# Style + types. ruff/mypy are optional (pip install -e .[lint]);
-# when absent the target reports and succeeds so offline CI images
-# without the linters still pass tier-1.
+# Style + types. The unused-import check (tools/check_imports.py)
+# needs only the standard library and always runs; ruff/mypy are
+# optional (pip install -e .[lint]) and, when absent, are reported and
+# skipped so offline CI images without the linters still pass tier-1.
 lint:
+	$(PYTHON) tools/check_imports.py src
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
 		PYTHONPATH=src $(PYTHON) -m ruff check src tests; \
 	else echo "lint: ruff not installed, skipping"; fi

@@ -19,7 +19,7 @@ import sys
 from repro.core.models import MODELS
 from repro.fuzz.stress import SHARING_PATTERNS
 from repro.sim.experiments import APPS, PRESETS
-from repro.sim.report import MODEL_LABELS, format_table
+from repro.sim.report import format_table
 from repro.sim.sweep import NAMED_GRIDS
 
 

@@ -72,7 +72,7 @@ from repro.analyze.cfg import (
     unreachable_indices,
     worst_case_instructions,
 )
-from repro.analyze.findings import SEV_ERROR, SEV_INFO, Finding
+from repro.analyze.findings import SEV_INFO, Finding
 
 #: Documented header fields: start bit -> width.
 HEADER_FIELDS: Dict[int, int] = {

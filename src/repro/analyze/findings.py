@@ -11,7 +11,7 @@ what survives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 #: Report JSON schema version (bump on incompatible changes).
 SCHEMA_VERSION = 1

@@ -1,6 +1,12 @@
-"""The six workloads (Table 1) plus synthetic test kernels."""
+"""The six workloads (Table 1) plus synthetic test kernels.
 
-from repro.apps import fft, fftw, lu, ocean, radix, synthetic, water
+The package imports only the shared kernel machinery (builders, the
+runtime, the compiler).  Each application is a submodule that is
+imported by name when it runs (``from repro.apps import fft``, or
+:func:`repro.sim.experiments.app_sources`), so a cell pays for the one
+workload it simulates.
+"""
+
 from repro.apps.base import AppContext
 from repro.apps.compile import (
     APP_COMPILER_VERSION,
@@ -25,12 +31,5 @@ __all__ = [
     "TreeBarrier",
     "app_interp_forced",
     "build_program",
-    "fft",
-    "fftw",
-    "lu",
-    "ocean",
-    "radix",
     "spin_until",
-    "synthetic",
-    "water",
 ]

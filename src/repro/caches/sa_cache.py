@@ -9,7 +9,7 @@ updates), and the class of the requester that allocated them
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.caches.coherence import CacheState
 from repro.common.params import CacheParams
@@ -57,9 +57,11 @@ class SetAssocCache:
         self.stats = stats
         self.line_shift = params.line_bytes.bit_length() - 1
         self.set_mask = params.n_sets - 1
-        self._sets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(params.assoc)] for _ in range(params.n_sets)
-        ]
+        #: Each set's ways.  A set starts as the shared empty tuple and
+        #: gets its ``assoc`` lines on its first fill (:meth:`victim`),
+        #: so a machine builds only the sets its run touches.  Probes
+        #: and scans iterate an untouched set and find nothing.
+        self._sets: List[Sequence[CacheLine]] = [()] * params.n_sets
         self._tick = 0
         #: ``{line address: line}`` of every valid line, kept live by
         #: :meth:`install`, :meth:`invalidate` and :meth:`flush` once
@@ -109,7 +111,9 @@ class SetAssocCache:
         This is the conflict condition that sends protocol thread
         misses to the bypass buffer (paper §2.2).
         """
-        return all(line.locked for line in self._sets[self.set_index(addr)])
+        ways = self._sets[self.set_index(addr)]
+        # ``all(())`` is True: an untouched set has no locked way.
+        return bool(ways) and all(line.locked for line in ways)
 
     # -- fills and evictions ---------------------------------------------
     def victim(self, addr: int) -> Optional[CacheLine]:
@@ -119,7 +123,11 @@ class SetAssocCache:
         Returns ``None`` when every way is locked (caller must retry or
         divert to a bypass buffer).
         """
-        candidates = [l for l in self._sets[self.set_index(addr)] if not l.locked]
+        index = self.set_index(addr)
+        ways = self._sets[index]
+        if not ways:
+            ways = self._sets[index] = [CacheLine() for _ in range(self.params.assoc)]
+        candidates = [l for l in ways if not l.locked]
         if not candidates:
             return None
         for line in candidates:

@@ -19,8 +19,6 @@ full-size machine.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.common.errors import ConfigError
 from repro.common.params import (
     PERFECT,

@@ -12,7 +12,7 @@ protocol-thread port), and owns the node-local backing stores:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.caches.hierarchy import CacheHierarchy
 from repro.common.events import EventWheel

@@ -41,7 +41,6 @@ from repro.protocol.handlers import (
     header_acks,
     header_peer,
     header_type,
-    make_header,
 )
 from repro.protocol.isa import HandlerTable, PInstr, POp, RESEND_AS_GETX
 

@@ -14,7 +14,6 @@ from repro.network.messages import Message, MsgType
 from repro.protocol.handlers import (
     LOCAL_REMOTE_DISPATCH,
     NETWORK_DISPATCH,
-    PROBE_DISPATCH,
     make_header,
 )
 from repro.protocol.isa import Handler

@@ -11,7 +11,7 @@ progress (paper §2.2).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.common.params import ProcessorParams
 from repro.isa.uop import FP_BASE, Uop

@@ -37,7 +37,7 @@ from repro.protocol.handlers import (
     NETWORK_DISPATCH,
     compose_send,
 )
-from repro.protocol.isa import ADDR, POp, T3, Handler, HandlerBuilder, HandlerTable, PInstr
+from repro.protocol.isa import POp, T3, Handler, HandlerBuilder, HandlerTable, PInstr
 
 #: Active-memory op codes (imm of the AMO protocol instruction and the
 #: ``operand``-encoded op selector of AM_OP messages).

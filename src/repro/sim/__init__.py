@@ -1,32 +1,22 @@
-"""Experiment harness: driver, presets, sweeps, report rendering."""
+"""Experiment harness: the driver, presets and paper-style reports.
+
+The package re-exports only the simulation path (:mod:`repro.sim.driver`
+and :mod:`repro.sim.experiments`), so ``import repro`` or a single cell
+run imports no sweep, trace, analyze or fuzz module.  The sweep service
+(:mod:`repro.sim.sweep`), the protocol tracer (:mod:`repro.sim.trace`)
+and the report renderers (:mod:`repro.sim.report`) are imported by
+module name where they are used.
+"""
 
 from repro.sim.driver import build_machine, run_app, run_machine
 from repro.sim.experiments import APPS, PAPER_SIZES, PRESETS, preset_sizes
-from repro.sim.sweep import (
-    NAMED_GRIDS,
-    CellResult,
-    ResultCache,
-    SweepCell,
-    make_grid,
-    run_sweep,
-    write_bench_json,
-)
-from repro.sim.trace import ProtocolTracer
 
 __all__ = [
     "APPS",
-    "CellResult",
-    "NAMED_GRIDS",
     "PAPER_SIZES",
     "PRESETS",
-    "ProtocolTracer",
-    "ResultCache",
-    "SweepCell",
     "build_machine",
-    "make_grid",
     "preset_sizes",
     "run_app",
     "run_machine",
-    "run_sweep",
-    "write_bench_json",
 ]

@@ -19,20 +19,10 @@ in the paper's regime.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
-from repro.apps import fft, fftw, lu, ocean, radix, water
+import importlib
+from typing import Dict
 
 APPS = ("fft", "fftw", "lu", "ocean", "radix", "water")
-
-_MAKERS: Dict[str, Callable] = {
-    "fft": fft.make_sources,
-    "fftw": fftw.make_sources,
-    "lu": lu.make_sources,
-    "ocean": ocean.make_sources,
-    "radix": radix.make_sources,
-    "water": water.make_sources,
-}
 
 #: Paper Table 1 sizes, for reference and for paper_exact runs.
 PAPER_SIZES = {
@@ -83,8 +73,9 @@ def preset_sizes(app: str, preset: str) -> Dict:
 
 
 def app_sources(app: str, machine, params: Dict):
-    try:
-        maker = _MAKERS[app]
-    except KeyError:
-        raise KeyError(f"unknown app {app!r}; pick from {APPS}") from None
-    return maker(machine, **params)
+    """Thread sources of ``app`` on ``machine``.  The application module
+    is imported here, so a cell imports only the workload it runs."""
+    if app not in APPS:
+        raise KeyError(f"unknown app {app!r}; pick from {APPS}")
+    module = importlib.import_module(f"repro.apps.{app}")
+    return module.make_sources(machine, **params)

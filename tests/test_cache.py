@@ -86,6 +86,36 @@ class TestBasics:
         assert c.lookup(0x00) is None or c.lookup(0x80) is None
 
 
+class TestUntouchedSets:
+    """A set gets its ways on its first fill; before that it must read
+    exactly like a set of invalid, unlocked ways."""
+
+    def test_no_locked_conflict_until_every_way_is_locked(self):
+        c = make_cache(size=128, line=32, assoc=2)  # 2 sets
+        assert not c.set_has_locked_conflict(0x00)
+        c.victim(0x00).locked = True
+        assert not c.set_has_locked_conflict(0x00)
+        c.victim(0x40).locked = True  # the other way of set 0
+        assert c.set_has_locked_conflict(0x00)
+        assert c.victim(0x80) is None
+        assert not c.set_has_locked_conflict(0x20)  # set 1 untouched
+
+    def test_victim_of_untouched_set_is_way_zero(self):
+        c = make_cache(size=128, line=32, assoc=2)
+        victim = c.victim(0x20)
+        assert victim is c._sets[1][0]
+        assert not victim.valid and not victim.locked
+
+    def test_untouched_cache_is_empty(self):
+        c = make_cache()
+        assert c.contents() == {}
+        assert list(c.valid_lines()) == []
+        seen = []
+        c.flush(lambda la, line: seen.append(la))
+        assert seen == []
+        assert c.lookup(0x100) is None and c.access(0x100) is None
+
+
 class TestCacheStates:
     @pytest.mark.parametrize(
         "state,valid,writable",
@@ -144,18 +174,24 @@ _STATES = (CacheState.SHARED, CacheState.EXCLUSIVE, CacheState.MODIFIED)
 
 @settings(max_examples=60)
 @given(st.lists(
-    st.tuples(st.sampled_from(("install", "invalidate", "downgrade")),
+    st.tuples(st.sampled_from(("install", "invalidate", "downgrade", "lock")),
               st.integers(0, 95), st.sampled_from(_STATES)),
     min_size=1, max_size=200,
 ))
 def test_contents_matches_valid_lines_oracle(steps):
     """``contents()`` equals the per-line oracle built from
     ``valid_lines()``, key order included, after random install,
-    invalidate and downgrade sequences."""
+    invalidate, downgrade and lock sequences; a set reports a locked
+    conflict exactly when it has no victim left."""
     c = make_cache(size=512, line=32, assoc=4)  # 4 sets x 4 ways
     for op, a, state in steps:
         addr = a * 16
-        if op == "install":
+        conflict = c.set_has_locked_conflict(addr)
+        assert conflict == (c.victim(addr) is None)
+        if op == "lock":
+            if not conflict:
+                c.victim(addr).locked = True
+        elif op == "install":
             if c.lookup(addr) is None and c.victim(addr) is not None:
                 c.install(addr, state)
         elif op == "invalidate":

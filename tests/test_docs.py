@@ -117,3 +117,23 @@ def test_dead_module_paths_are_flagged(tmp_path):
         "src/repro/mod.py: names repro.sim.no_such_module, which no longer "
         "resolves",
     ]
+
+
+def test_flag_after_a_named_subcommand_is_checked_against_it_alone():
+    """In code, `repro CMD --flag` must be live on CMD itself: the doc's
+    union of mapped commands no longer covers it.  A flag with no named
+    subcommand is still checked against that union."""
+    subcommands = check_docs.live_commands()
+    mapped = ("sweep", "fuzz")
+
+    def problems(text):
+        return check_docs.phantom_flags("doc.md", text, mapped, subcommands)
+
+    assert problems("Resume with `repro sweep --ledger DIR`.") == [
+        "doc.md: quotes `repro sweep --ledger`, which "
+        "`repro sweep --help` does not advertise"]
+    assert problems("Resume with `repro fuzz --ledger DIR`.") == []
+    assert problems("```sh\npython -m repro fuzz --seeds 4 \\\n"
+                    "    --ledger DIR\n```\n") == []
+    assert problems("The --ledger flag, or `--ledger DIR`.") == []
+    assert problems("`repro fuzz --seeds 2 && repro sweep --ledger x`") != []

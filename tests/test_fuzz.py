@@ -1,7 +1,5 @@
 """The coherence fuzzing subsystem: sanitizer, faults, shrink, replay."""
 
-import json
-
 import pytest
 
 from repro.caches.coherence import CacheState

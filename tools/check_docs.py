@@ -7,10 +7,13 @@ operator's manual learning about it.  This checker catches both by
 comparing the ``--long-flag`` tokens found in the prose against the
 flags argparse actually advertises:
 
-1. **No phantom flags** — every ``--flag`` token appearing in a
-   checked doc must exist in the live ``--help`` output of at least
-   one of the subcommands that doc is mapped to (or be on the small
-   external allowlist, e.g. pytest flags quoted in examples).
+1. **No phantom flags** — a ``--flag`` quoted in code context (an
+   inline code span or a fenced-block line) after a named subcommand
+   (``repro CMD …`` or ``python -m repro CMD …``) must exist in that
+   subcommand's live ``--help``.  Every other ``--flag`` token in a
+   checked doc must exist in the live ``--help`` of at least one of
+   the subcommands the doc is mapped to.  Either may instead be on the
+   small external allowlist (e.g. pip flags quoted in install notes).
 
 2. **No undocumented operator flags** — every flag of ``sweep`` and
    ``fuzz`` must be mentioned in ``docs/sweep-service.md``, and every
@@ -67,6 +70,7 @@ fails tier-1.
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import os
 import re
@@ -109,6 +113,15 @@ ALLOWED_EXTERNAL = {
 }
 
 FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
+
+# Code context: the lines of a fenced block (``\`` continuations
+# joined) and the inline code spans outside one.  In code, a flag after
+# a named subcommand (`repro CMD`, `python -m repro CMD`) belongs to
+# it, up to the next shell separator.
+FENCE_RE = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+SPAN_RE = re.compile(r"`([^`]+)`")
+COMMAND_RE = re.compile(r"(?<![\w/.-])repro\s+([a-z][a-z-]*)")
+SEPARATOR_RE = re.compile(r"\|\|?|&&|;")
 
 # REPRO_* environment flags: which docs must (between them) describe
 # every implemented flag, and where implementations may live.
@@ -240,9 +253,15 @@ def repro_stdout(*args: str) -> str:
     ).stdout
 
 
-def live_flags(command: str) -> set[str]:
+@functools.cache
+def live_flags(command: str) -> frozenset[str]:
     """The ``--long`` options argparse advertises for a subcommand."""
-    return set(FLAG_RE.findall(repro_stdout(command, "--help")))
+    return frozenset(FLAG_RE.findall(repro_stdout(command, "--help")))
+
+
+def flags_for(commands) -> set[str]:
+    """The union of the live flags of ``commands``."""
+    return set().union(*(live_flags(cmd) for cmd in commands))
 
 
 def live_grids() -> set[str]:
@@ -253,34 +272,78 @@ def live_grids() -> set[str]:
                           re.MULTILINE))
 
 
+def live_commands() -> set[str]:
+    """The subcommand names ``repro --help`` lists as ``{a,b,…}``."""
+    match = re.search(r"\{([a-z,-]+)\}", repro_stdout("--help"))
+    return set(match.group(1).split(",")) if match else set()
+
+
 def doc_flags(path: Path) -> set[str]:
     return set(FLAG_RE.findall(path.read_text()))
 
 
+def code_flags(code: str, commands: set[str]) -> set[tuple[str, str | None]]:
+    """``(flag, subcommand)`` for each flag of a piece of code: the
+    subcommand named before it in the same shell command, or ``None``."""
+    pairs: set[tuple[str, str | None]] = set()
+    for part in SEPARATOR_RE.split(code):
+        cmd = None
+        pos = 0
+        for match in COMMAND_RE.finditer(part):
+            pairs |= {(f, cmd) for f in FLAG_RE.findall(part, pos, match.start())}
+            cmd = match.group(1) if match.group(1) in commands else None
+            pos = match.end()
+        pairs |= {(f, cmd) for f in FLAG_RE.findall(part, pos)}
+    return pairs
+
+
+def flag_contexts(text: str, commands: set[str]) -> set[tuple[str, str | None]]:
+    """``(flag, subcommand)`` for every flag a doc quotes; the
+    subcommand is ``None`` in prose and in code that names none."""
+    pairs: set[tuple[str, str | None]] = set()
+    for block in FENCE_RE.findall(text):
+        for line in block.replace("\\\n", " ").splitlines():
+            pairs |= code_flags(line, commands)
+    prose = FENCE_RE.sub("", text)
+    for span in SPAN_RE.findall(prose):
+        pairs |= code_flags(span, commands)
+    pairs |= {(f, None) for f in FLAG_RE.findall(SPAN_RE.sub("", prose))}
+    return pairs
+
+
+def phantom_flags(rel: str, text: str, commands, subcommands: set[str]
+                  ) -> list[str]:
+    """Direction 1 for one doc: a flag quoted after a named subcommand
+    must be live on it; any other flag on one of ``commands``."""
+    problems = []
+    contexts = flag_contexts(text, subcommands)
+    for flag, cmd in sorted(contexts, key=lambda p: (p[0], p[1] or "")):
+        if flag in ALLOWED_EXTERNAL:
+            continue
+        if cmd is not None and flag not in live_flags(cmd):
+            problems.append(
+                f"{rel}: quotes `repro {cmd} {flag}`, which "
+                f"`repro {cmd} --help` does not advertise"
+            )
+        elif cmd is None and flag not in flags_for(commands):
+            problems.append(
+                f"{rel}: documents {flag}, which no mapped command "
+                f"({', '.join(commands)}) advertises in --help"
+            )
+    return problems
+
+
 def main() -> int:
     problems: list[str] = []
-    help_cache: dict[str, set[str]] = {}
-
-    def flags_for(commands) -> set[str]:
-        out: set[str] = set()
-        for cmd in commands:
-            if cmd not in help_cache:
-                help_cache[cmd] = live_flags(cmd)
-            out |= help_cache[cmd]
-        return out
-
     # Direction 1: no phantom flags in the docs.
+    subcommands = live_commands()
     for rel, commands in DOC_COMMANDS.items():
         path = REPO / rel
         if not path.exists():
             problems.append(f"{rel}: checked doc is missing")
             continue
-        known = flags_for(commands) | ALLOWED_EXTERNAL
-        for flag in sorted(doc_flags(path) - known):
-            problems.append(
-                f"{rel}: documents {flag}, which no mapped command "
-                f"({', '.join(commands)}) advertises in --help"
-            )
+        problems.extend(phantom_flags(rel, path.read_text(), commands,
+                                      subcommands))
 
     # Direction 2: each manual covers its commands' full flag sets.
     for manual_rel, manual_commands in MANUALS.items():
