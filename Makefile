@@ -16,7 +16,7 @@ test tier1:
 # Protocol verifier: static handler analysis, dispatch completeness,
 # and the exhaustive 2-node small-model check. Exit 1 = findings.
 analyze:
-	PYTHONPATH=src $(PYTHON) -m repro analyze --jobs $(JOBS)
+	PYTHONPATH=src $(PYTHON) -m repro analyze
 
 # Per-protocol verifier: every registered coherence bundle must pass
 # all three passes (see docs/protocols.md).  The MSI baseline is
@@ -24,30 +24,29 @@ analyze:
 # uses the store-only issue alphabet, like `model-deep`, to stay
 # CI-affordable under the reduced search).
 analyze-all:
-	PYTHONPATH=src $(PYTHON) -m repro analyze --jobs $(JOBS) \
+	PYTHONPATH=src $(PYTHON) -m repro analyze \
 		--protocol smtp-bitvector
-	PYTHONPATH=src $(PYTHON) -m repro analyze --jobs $(JOBS) \
+	PYTHONPATH=src $(PYTHON) -m repro analyze \
 		--protocol msi
-	PYTHONPATH=src $(PYTHON) -m repro analyze --jobs $(JOBS) \
+	PYTHONPATH=src $(PYTHON) -m repro analyze \
 		--protocol msi --nodes 3 --loads 0 --stores 1
-	PYTHONPATH=src $(PYTHON) -m repro analyze --jobs $(JOBS) \
+	PYTHONPATH=src $(PYTHON) -m repro analyze \
 		--protocol migratory
 
 # Deep model-checking sweep: the larger machines the reduced checker
 # (symmetry + ample sets, docs/analyze.md) makes CI-affordable.
 # Regenerates BENCH_model.json — the committed state-space trajectory
 # (states, canonical orbit coverage, reduction ratios, wall time per
-# config) — which tests/test_model_bench.py gates in tier-1.  Runs
-# --jobs 1 so the counts are the deterministic sequential ones.
+# config) — which tests/test_model_bench.py gates in tier-1.
 model-deep:
-	PYTHONPATH=src $(PYTHON) -m repro analyze --jobs 1 \
+	PYTHONPATH=src $(PYTHON) -m repro analyze \
 		--bench-model BENCH_model.json
-	PYTHONPATH=src $(PYTHON) -m repro analyze --jobs 1 \
+	PYTHONPATH=src $(PYTHON) -m repro analyze \
 		--nodes 4 --loads 0 --stores 1 --bench-model BENCH_model.json
-	PYTHONPATH=src $(PYTHON) -m repro analyze --jobs 1 \
+	PYTHONPATH=src $(PYTHON) -m repro analyze \
 		--nodes 3 --lines 2 --loads 0 --stores 1 \
 		--bench-model BENCH_model.json
-	PYTHONPATH=src $(PYTHON) -m repro analyze --jobs 1 \
+	PYTHONPATH=src $(PYTHON) -m repro analyze \
 		--lines 2 --bench-model BENCH_model.json
 
 # Style + types. The unused-import check (tools/check_imports.py)
@@ -55,7 +54,7 @@ model-deep:
 # optional (pip install -e .[lint]) and, when absent, are reported and
 # skipped so offline CI images without the linters still pass tier-1.
 lint:
-	$(PYTHON) tools/check_imports.py src
+	$(PYTHON) tools/check_imports.py src tests tools examples
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
 		PYTHONPATH=src $(PYTHON) -m ruff check src tests; \
 	else echo "lint: ruff not installed, skipping"; fi

@@ -36,13 +36,6 @@ class CFG:
     def instrs(self) -> List[PInstr]:
         return self.handler.instrs
 
-    def loop_nodes(self) -> Set[int]:
-        """Instruction indices belonging to any natural loop body."""
-        nodes: Set[int] = set()
-        for src, dst in self.back_edges:
-            nodes |= self._natural_loop(src, dst)
-        return nodes
-
     def _natural_loop(self, src: int, dst: int) -> Set[int]:
         """Natural loop of back edge ``src -> dst`` (header ``dst``)."""
         body = {dst, src}

@@ -61,13 +61,15 @@ def add_analyze_parser(sub) -> None:
         "default in-memory",
     )
     p.add_argument(
-        "--jobs", type=int, default=4, metavar="J",
-        help="worker processes for state-space exploration "
-        "(<=1 runs in-process; default 4)",
+        "--jobs", type=int, default=1, metavar="J",
+        help="worker processes for the --frontier-dir disk frontier "
+        "(default 1; the in-memory search runs in-process and "
+        "refuses J > 1)",
     )
     p.add_argument(
         "--max-states", type=int, default=400_000, metavar="S",
-        help="state cap per exploration worker (default 400000)",
+        help="cap on the states the whole search admits; a capped run "
+        "reports truncated=True (default 400000)",
     )
     p.add_argument(
         "--loads", type=int, default=1, metavar="L",

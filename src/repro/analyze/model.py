@@ -24,9 +24,11 @@ DESIGN.md, "Reduction theory", and :mod:`repro.analyze.symmetry`):
   transition (:func:`ample_probe`), it is explored *alone* as a
   singleton ample set and the sibling interleavings are pruned.
 
-Deep configurations additionally run against a disk-backed frontier
-(:mod:`repro.analyze.frontier`) sharded over ``sim.sweep.pool_map``
-workers, kill-resumable via the PR 6 ledger machinery.
+The search runs in one process (:func:`_bfs`).  Deep configurations
+run against a disk-backed frontier instead
+(:mod:`repro.analyze.frontier`), the one parallel explorer: sharded
+over ``sim.sweep.pool_map`` workers, kill-resumable through the sweep
+result ledger, with the same exact counts.
 
 Invariants: the :mod:`repro.protocol.invariants` predicates, the same
 ones the sanitizer evaluates on the full simulator — ``check_entry``
@@ -1038,7 +1040,7 @@ def expand(
 
 
 # ----------------------------------------------------------------------
-# Reduced explicit-state BFS (sequential core + pool_map partitioning)
+# Reduced explicit-state BFS
 # ----------------------------------------------------------------------
 
 #: One BFS entry: a canonical state, the concrete (original-frame)
@@ -1065,11 +1067,11 @@ def _traced(exc: ModelViolation, label: str, entry: Entry) -> Violation:
 class Search:
     """Successor generation and admission for one search.
 
-    Every explorer — the in-memory BFS, the pooled pre-expansion in
-    :func:`check_model` and a disk frontier shard — expands its entries
-    through one instance.  The instance owns the search's memos: the
-    canonicalizer's component keys and the recorded handler runs
-    (:meth:`_Sim.run_handler`).  Both go when the instance does.
+    Both explorers — the in-memory BFS and a disk frontier shard —
+    expand their entries through one instance.  The instance owns the
+    search's memos: the canonicalizer's component keys and the
+    recorded handler runs (:meth:`_Sim.run_handler`).  Both go when
+    the instance does.
     """
 
     def __init__(
@@ -1216,29 +1218,6 @@ def _bfs(
     )
 
 
-def _explore_payload(payload: Dict[str, object]) -> Dict[str, object]:
-    """pool_map worker: explore one frontier partition exhaustively."""
-    result = _bfs(
-        [tuple(entry) for entry in payload["roots"]],
-        payload["layout"],
-        payload["table"],
-        payload["max_states"],
-        depth=payload.get("depth"),
-        reduce_sym=payload.get("reduce_sym", True),
-        reduce_por=payload.get("reduce_por", True),
-        bundle=payload.get("bundle"),
-    )
-    return {
-        "states": result.states,
-        "transitions": result.transitions,
-        "truncated": result.truncated,
-        "violation": result.violation,
-        "sym_states": result.sym_states,
-        "pruned": result.pruned,
-        "max_depth": result.max_depth,
-    }
-
-
 def check_model(
     n_nodes: int = 2,
     loads: int = 1,
@@ -1261,13 +1240,12 @@ def check_model(
     are what the mirror executes.  An explicit ``table`` overrides the
     bundle's (the mutation tests patch individual handlers).
 
-    With ``jobs > 1`` the BFS frontier is expanded inline until it has
-    at least ``4 * jobs`` states, then partitioned round-robin across
-    ``pool_map`` workers, each exploring its subtree with a private
-    visited set (duplicated work across workers is possible; missed
-    states are not).  With ``frontier_dir`` set the frontier lives on
-    disk instead, sharded wave-by-wave over the same worker pool and
-    kill-resumable (see :mod:`repro.analyze.frontier`).
+    Without ``frontier_dir`` the search is the in-process BFS
+    (:func:`_bfs`), and ``jobs`` must be 1.  With ``frontier_dir`` set
+    the frontier lives on disk, sharded wave by wave over ``jobs``
+    ``pool_map`` workers and kill-resumable (see
+    :mod:`repro.analyze.frontier`).  Both keep one visited set, so
+    ``states`` is exact and ``max_states`` caps the whole search.
 
     ``reduce_sym``/``reduce_por`` exist so tests can compare the
     reduced and flat explorations; production callers leave them on.
@@ -1284,6 +1262,11 @@ def check_model(
         raise ConfigError("loads/stores must be >= 0, max_states > 0")
     if depth is not None and depth <= 0:
         raise ConfigError("depth must be > 0 when set")
+    if jobs > 1 and frontier_dir is None:
+        raise ConfigError(
+            f"jobs={jobs} needs a disk frontier (--frontier-dir DIR): "
+            "the in-memory search runs in one process"
+        )
     bundle = None
     if protocol is not None:
         from repro.protocol import registry
@@ -1316,91 +1299,10 @@ def check_model(
             reduce_sym=reduce_sym, reduce_por=reduce_por, bundle=bundle,
         )
 
-    if jobs <= 1:
-        return _bfs(
-            [root_entry(init)], layout, table, max_states,
-            depth=depth, reduce_sym=reduce_sym, reduce_por=reduce_por,
-            bundle=bundle,
-        )
-
-    # Inline expansion until the frontier is wide enough to partition.
-    search = Search(init, layout, table, bundle, reduce_sym, reduce_por)
-    visited = {init}
-    frontier: deque = deque([root_entry(init)])
-    transitions = 0
-    pruned = 0
-    sym_states = 1
-    while frontier and len(frontier) < 4 * jobs and len(visited) < 4096:
-        entry = frontier.popleft()
-        if depth is not None and len(entry[1]) >= depth:
-            frontier.append(entry)
-            break
-        kids, n_succ, pr, violation = search.expand(entry, visited)
-        if violation is not None:
-            return ExploreResult(
-                len(visited), transitions, False, violation,
-                sym_states, pruned, len(entry[1]) + 1,
-            )
-        transitions += n_succ
-        pruned += pr
-        for child, orbit, _ in kids:
-            visited.add(child[0])
-            sym_states += orbit
-            frontier.append(child)
-    if not frontier:
-        return ExploreResult(
-            len(visited), transitions, False, None, sym_states, pruned, 0
-        )
-
-    from repro.sim.sweep import pool_map
-
-    roots = list(frontier)
-    pending = []
-    for w in range(jobs):
-        part = roots[w::jobs]
-        if part:
-            pending.append((w, {
-                "roots": part,
-                "layout": layout,
-                "table": table,
-                "max_states": max_states,
-                "depth": depth,
-                "reduce_sym": reduce_sym,
-                "reduce_por": reduce_por,
-                "bundle": bundle,
-            }))
-    outcomes: Dict[int, Dict[str, object]] = {}
-
-    def on_done(ident, payload, outcome, elapsed, attempts) -> None:
-        outcomes[ident] = outcome or {"_pool_status": "crashed"}
-
-    pool_map(pending, _explore_payload, jobs=jobs, on_done=on_done)
-
-    states = len(visited)
-    truncated = False
-    violation: Optional[Violation] = None
-    max_depth = 0
-    # In worker order, so ties between equally short violations
-    # do not depend on which worker finished first.
-    for _, outcome in sorted(outcomes.items()):
-        if outcome.get("_pool_status"):
-            raise ConfigError(
-                f"model-check worker failed: {outcome['_pool_status']}"
-            )
-        states += int(outcome["states"])
-        transitions += int(outcome["transitions"])
-        sym_states += int(outcome["sym_states"])
-        pruned += int(outcome["pruned"])
-        max_depth = max(max_depth, int(outcome["max_depth"]))
-        truncated = truncated or bool(outcome["truncated"])
-        v = outcome["violation"]
-        if v is not None and (
-            violation is None or len(v.trace) < len(violation.trace)
-        ):
-            violation = v
-    return ExploreResult(
-        states, transitions, truncated, violation,
-        sym_states, pruned, max_depth,
+    return _bfs(
+        [root_entry(init)], layout, table, max_states,
+        depth=depth, reduce_sym=reduce_sym, reduce_por=reduce_por,
+        bundle=bundle,
     )
 
 

@@ -262,9 +262,6 @@ class KernelBuilder:
         self.buffer.append(uop)
         self.await_uop = uop
 
-    def value_load(self, addr: int) -> None:
-        self.spin_load(addr)
-
     def atomic(self, addr: int, op: str, operand: int = 0) -> None:
         uop = self._stamp(UopKind.ATOMIC, (), self._int_dest(), atomic_op=op)
         uop.pc = self._next_pc()

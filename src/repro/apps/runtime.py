@@ -46,10 +46,6 @@ class AddressSpace:
             )
         return p
 
-    def alloc_blocked(self, nbytes_per_node: int, align: int = 128) -> List[int]:
-        """One equal-size block per node (owner-computes placement)."""
-        return [self.alloc(n, nbytes_per_node, align) for n in range(self.n_nodes)]
-
 
 def spin_until(
     k: KernelBuilder,

@@ -432,10 +432,6 @@ class CacheHierarchy:
             )
         self._maybe_complete(entry, dirty=False)
 
-    def mshr_kind(self, line_addr: int) -> Optional[MissKind]:
-        entry = self.mshrs.get(line_addr)
-        return entry.kind if entry is not None else None
-
     def record_retry(self, line_addr: int) -> int:
         """A NACK arrived; bump the retry counter.  Returns retries."""
         entry = self.mshrs.get(line_addr)

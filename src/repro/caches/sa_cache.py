@@ -104,17 +104,6 @@ class SetAssocCache:
                 return line
         return None
 
-    def set_has_locked_conflict(self, addr: int) -> bool:
-        """True if every way of ``addr``'s set is valid-and-locked or
-        locked-invalid (an in-flight miss reserves its victim way).
-
-        This is the conflict condition that sends protocol thread
-        misses to the bypass buffer (paper §2.2).
-        """
-        ways = self._sets[self.set_index(addr)]
-        # ``all(())`` is True: an untouched set has no locked way.
-        return bool(ways) and all(line.locked for line in ways)
-
     # -- fills and evictions ---------------------------------------------
     def victim(self, addr: int) -> Optional[CacheLine]:
         """Choose the replacement victim for a fill of ``addr``.

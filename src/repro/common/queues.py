@@ -16,7 +16,7 @@ reservation rule.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generic, Iterator, List, Optional, TypeVar
+from typing import Deque, Generic, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -45,14 +45,6 @@ class ReservedPool:
     @property
     def used(self) -> int:
         return self.app_used + self.proto_used
-
-    @property
-    def free_for_app(self) -> int:
-        return max(0, (self.total - self.reserved) - self.used)
-
-    @property
-    def free_for_proto(self) -> int:
-        return self.total - self.used
 
     def can_acquire(self, protocol: bool, n: int = 1) -> bool:
         limit = self.total if protocol else self.total - self.reserved
@@ -84,9 +76,6 @@ class ReservedPool:
             if self.app_used < n:
                 raise ValueError(f"{self.name}: app release underflow")
             self.app_used -= n
-
-    def reset_peak(self) -> None:
-        self.proto_peak = self.proto_used
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -142,7 +131,7 @@ class DualQueue(Generic[T]):
     cycle by cycle exactly as §2.2 describes.
     """
 
-    __slots__ = ("name", "capacity", "reserved", "app", "proto", "_proto_first")
+    __slots__ = ("name", "capacity", "reserved", "app", "proto")
 
     def __init__(self, name: str, capacity: int, reserved: int = 0) -> None:
         if reserved > capacity:
@@ -152,10 +141,6 @@ class DualQueue(Generic[T]):
         self.reserved = reserved
         self.app: Deque[T] = deque()
         self.proto: Deque[T] = deque()
-        # Section priority for :meth:`drain` only.  The pipeline drains
-        # the sections itself and derives their priority from the cycle
-        # number, so it neither calls drain nor reads this flag.
-        self._proto_first = False
 
     def __len__(self) -> int:
         return len(self.app) + len(self.proto)
@@ -170,27 +155,3 @@ class DualQueue(Generic[T]):
             return False
         (self.proto if protocol else self.app).append(item)
         return True
-
-    def drain(self, max_items: int) -> List[T]:
-        """Pop up to ``max_items`` entries, alternating section priority.
-
-        Within a cycle the higher-priority section is drained first (in
-        fetch order), then the other; the priority flips every call
-        (i.e. every cycle), matching the cyclic-priority scheduler.
-        """
-        first, second = (
-            (self.proto, self.app) if self._proto_first else (self.app, self.proto)
-        )
-        self._proto_first = not self._proto_first
-        out: List[T] = []
-        for section in (first, second):
-            while section and len(out) < max_items:
-                out.append(section.popleft())
-        return out
-
-    def drain_section(self, protocol: bool, max_items: int) -> List[T]:
-        section = self.proto if protocol else self.app
-        out: List[T] = []
-        while section and len(out) < max_items:
-            out.append(section.popleft())
-        return out

@@ -23,18 +23,3 @@ first-class subsystem:
   machine snapshot) is written and the op sequence greedily shrunk to
   a minimal reproducer.
 """
-
-from repro.fuzz.faults import FaultConfig, FaultInjector, parse_faults
-from repro.fuzz.sanitizer import Sanitizer
-from repro.fuzz.stress import FuzzOp, StressConfig, generate_ops, run_ops
-
-__all__ = [
-    "FaultConfig",
-    "FaultInjector",
-    "FuzzOp",
-    "Sanitizer",
-    "StressConfig",
-    "generate_ops",
-    "parse_faults",
-    "run_ops",
-]

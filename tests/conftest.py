@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.params import MachineParams, ProcessorParams
 from repro.core.machine import Machine
 
 

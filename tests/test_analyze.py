@@ -165,14 +165,13 @@ class TestModelPass:
         assert not result.truncated
         assert result.states > 1000
 
-    def test_worker_pool_path_agrees(self):
-        serial = check_model(n_nodes=2, loads=1, stores=1, jobs=1)
-        pooled = check_model(n_nodes=2, loads=1, stores=1, jobs=2)
-        assert pooled.violation is None
-        assert not pooled.truncated
-        # Workers keep private visited sets, so pooled counts are an
-        # upper bound on the true state count — never an undercount.
-        assert pooled.states >= serial.states
+    def test_worker_pool_needs_a_disk_frontier(self):
+        """The in-memory search runs in one process; only the disk
+        frontier fans out over workers."""
+        from repro.common.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="--frontier-dir"):
+            check_model(n_nodes=2, loads=1, stores=1, jobs=2)
 
     def test_bad_config_rejected(self):
         from repro.common.errors import ConfigError

@@ -39,7 +39,7 @@ def install_skipped_intervention_bug(monkeypatch):
 
 def run_analyze(tmp_path, *extra):
     return main([
-        "analyze", "--jobs", "1",
+        "analyze",
         "--artifacts", str(tmp_path / "artifacts"),
         *extra,
     ])
@@ -62,6 +62,10 @@ class TestExitCodes:
     def test_bad_config_exits_two(self, tmp_path, capsys):
         assert run_analyze(tmp_path, "--max-nodes", "7") == 2
         assert "analyze:" in capsys.readouterr().err
+
+    def test_jobs_without_a_disk_frontier_exits_two(self, tmp_path, capsys):
+        assert run_analyze(tmp_path, "--jobs", "2") == 2
+        assert "--frontier-dir" in capsys.readouterr().err
 
 
 class TestJsonReport:

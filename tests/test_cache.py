@@ -92,13 +92,11 @@ class TestUntouchedSets:
 
     def test_no_locked_conflict_until_every_way_is_locked(self):
         c = make_cache(size=128, line=32, assoc=2)  # 2 sets
-        assert not c.set_has_locked_conflict(0x00)
         c.victim(0x00).locked = True
-        assert not c.set_has_locked_conflict(0x00)
-        c.victim(0x40).locked = True  # the other way of set 0
-        assert c.set_has_locked_conflict(0x00)
-        assert c.victim(0x80) is None
-        assert not c.set_has_locked_conflict(0x20)  # set 1 untouched
+        assert c.victim(0x40) is not None  # the other way of set 0
+        c.victim(0x40).locked = True
+        assert c.victim(0x00) is None and c.victim(0x80) is None
+        assert c.victim(0x20) is not None  # set 1 untouched
 
     def test_victim_of_untouched_set_is_way_zero(self):
         c = make_cache(size=128, line=32, assoc=2)
@@ -181,20 +179,29 @@ _STATES = (CacheState.SHARED, CacheState.EXCLUSIVE, CacheState.MODIFIED)
 def test_contents_matches_valid_lines_oracle(steps):
     """``contents()`` equals the per-line oracle built from
     ``valid_lines()``, key order included, after random install,
-    invalidate, downgrade and lock sequences; a set reports a locked
-    conflict exactly when it has no victim left."""
+    invalidate, downgrade and lock sequences; a set has no victim left
+    exactly when the test has locked every one of its ways."""
     c = make_cache(size=512, line=32, assoc=4)  # 4 sets x 4 ways
+    locked = [0] * 4  # locked ways per set
+    locked_lines = set()  # line addresses of locked valid ways
     for op, a, state in steps:
         addr = a * 16
-        conflict = c.set_has_locked_conflict(addr)
-        assert conflict == (c.victim(addr) is None)
+        s = c.set_index(addr)
+        assert (locked[s] == 4) == (c.victim(addr) is None)
         if op == "lock":
-            if not conflict:
-                c.victim(addr).locked = True
+            if locked[s] < 4:
+                victim = c.victim(addr)
+                victim.locked = True
+                locked[s] += 1
+                if victim.valid:
+                    locked_lines.add(c.line_address_of(victim))
         elif op == "install":
             if c.lookup(addr) is None and c.victim(addr) is not None:
                 c.install(addr, state)
         elif op == "invalidate":
+            if c.line_addr(addr) in locked_lines:  # invalidating unlocks
+                locked_lines.remove(c.line_addr(addr))
+                locked[s] -= 1
             c.invalidate(addr)
         else:
             line = c.lookup(addr)

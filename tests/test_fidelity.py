@@ -3,7 +3,7 @@ land where the configuration says they must."""
 
 import pytest
 
-from repro.apps.program import AWAIT, KernelBuilder, ThreadProgram
+from repro.apps.program import KernelBuilder, ThreadProgram
 from tests.conftest import Completion, small_machine
 
 pytestmark = pytest.mark.slow

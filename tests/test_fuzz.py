@@ -21,7 +21,6 @@ from repro.fuzz.faults import FaultConfig, FaultInjector, PRESETS, parse_faults
 from repro.fuzz.sanitizer import Sanitizer
 from repro.fuzz.shrink import shrink_ops
 from repro.fuzz.stress import FuzzOp, StressConfig, generate_ops, run_ops
-from repro.protocol import directory as d
 from tests.conftest import Completion, small_machine
 
 

@@ -1,11 +1,9 @@
 """Cache hierarchy + memory controller + protocol, exercised through
 the full machine (memory-side integration; no cores installed)."""
 
-import pytest
-
 from repro.caches.coherence import CacheState
 from repro.caches.hierarchy import BLOCKED, HIT, MISS, PROTO_SPACE_BIT
-from tests.conftest import Completion, small_machine
+from tests.conftest import Completion
 
 
 class TestLocalMiss:

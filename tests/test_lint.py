@@ -14,6 +14,13 @@ def test_src_has_no_unused_imports():
     assert problems == [], "\n".join(problems)
 
 
+def test_tests_tools_and_examples_have_no_unused_imports():
+    problems = check_imports.check([
+        check_imports.REPO / d for d in ("tests", "tools", "examples")
+    ])
+    assert problems == [], "\n".join(problems)
+
+
 def test_unused_imports_are_found_and_exemptions_honoured():
     source = (
         "from __future__ import annotations\n"

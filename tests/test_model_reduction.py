@@ -22,7 +22,6 @@ Three layers, mirroring the arguments in ``analyze/symmetry.py`` and
 """
 
 import hashlib
-import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -38,7 +37,6 @@ from repro.analyze import symmetry as sym
 from repro.analyze.model import (
     ample_probe,
     check_model,
-    check_state,
     count_enabled,
     expand,
     initial_state,

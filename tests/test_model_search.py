@@ -1,7 +1,7 @@
 """The model checker's successor generation: admission, memo, sharing.
 
-``model.Search`` expands every BFS entry the same way in all three
-explorers (in-memory BFS, pooled workers, disk frontier shards):
+``model.Search`` expands every BFS entry the same way in both
+explorers (in-memory BFS, disk frontier shards):
 
 * **Admission check** — ``check_state`` runs once per new state, after
   the visited test, instead of inside each transition.  A mutant only
@@ -127,14 +127,13 @@ class TestAdmissionCheck:
     ])
     def test_every_explorer_checks_new_states(self, mutant, code, tmp_path):
         """Only ``check_state`` catches these mutants: no transition
-        faults while firing.  The violation sits six steps deep, past
-        the pooled pre-expansion, so ``jobs=2`` finds it in a worker.
-        Three nodes, so the canonicalizer has node ids to rename."""
+        faults while firing.  The violation sits six steps deep, so the
+        disk frontier finds it in a shard worker.  Three nodes, so the
+        canonicalizer has node ids to rename."""
         table = mutant()
         cfg = dict(n_nodes=3, loads=0, stores=1, table=table)
         runs = {
             "jobs1": check_model(jobs=1, **cfg),
-            "jobs2": check_model(jobs=2, **cfg),
             "disk": check_model(
                 jobs=2, frontier_dir=str(tmp_path / "f"), **cfg
             ),
@@ -149,36 +148,28 @@ class TestAdmissionCheck:
         self, monkeypatch, tmp_path
     ):
         """With the seed race ``stale-int-after-wb`` reverted, several
-        workers (and disk shards) each find an 11-step trap.  The
-        reported one must not depend on which finished first."""
+        disk shards each find an 11-step trap.  The reported one must
+        not depend on which shard finished first."""
         race = find_race("stale-int-after-wb")
         found = []
 
         def inline_pool_map(pending, fn, jobs, on_done, reverse, **_):
             done = [(ident, p, fn(p)) for ident, p in pending]
             for ident, p, outcome in done[::-1] if reverse else done:
-                if "violations" in outcome:  # a disk shard
-                    found.extend(
-                        tuple(v["trace"]) for v in outcome["violations"]
-                    )
-                elif outcome["violation"] is not None:
-                    found.append(outcome["violation"].trace)
+                found.extend(tuple(v["trace"]) for v in outcome["violations"])
                 on_done(ident, p, outcome, 0.0, 1)
 
         results = {}
-        for where in ("memory", "disk"):
-            for reverse in (False, True):
-                monkeypatch.setattr(
-                    sweep, "pool_map",
-                    partial(inline_pool_map, reverse=reverse),
-                )
-                disk = str(tmp_path / f"f{reverse}") if where == "disk" else None
-                results[where, reverse] = check_model(
-                    n_nodes=race.n_nodes, loads=race.loads,
-                    stores=race.stores, table=race.build_table(),
-                    jobs=2, frontier_dir=disk,
-                )
-            assert results[where, False] == results[where, True], where
+        for reverse in (False, True):
+            monkeypatch.setattr(
+                sweep, "pool_map", partial(inline_pool_map, reverse=reverse),
+            )
+            results[reverse] = check_model(
+                n_nodes=race.n_nodes, loads=race.loads,
+                stores=race.stores, table=race.build_table(),
+                jobs=2, frontier_dir=str(tmp_path / f"f{reverse}"),
+            )
+        assert results[False] == results[True]
         assert {len(t) for t in found} == {11}
         assert len(set(found)) > 2, "no tie to break"
 

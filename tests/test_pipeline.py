@@ -2,10 +2,7 @@
 SMT sharing, and the deadlock-avoidance reservations — driven through
 full machines with controlled kernels."""
 
-import pytest
-
 from repro.apps.program import AWAIT, KernelBuilder, ThreadProgram
-from repro.isa.uop import UopKind
 from tests.conftest import small_machine
 
 

@@ -1,8 +1,6 @@
 """PP engine details: dual-issue pairing, register persistence across
 handlers, and Base-vs-integrated timing relationships."""
 
-import pytest
-
 from tests.conftest import Completion, small_machine
 
 

@@ -1,7 +1,5 @@
 """ThreadProgram / KernelBuilder coroutine mechanics."""
 
-import pytest
-
 from repro.apps.program import AWAIT, KernelBuilder, ThreadProgram
 from repro.common.events import EventWheel
 from repro.isa.uop import FP_BASE, UopKind

@@ -1,8 +1,6 @@
 """The SMTp mechanism: PPCV handshake, switch/ldctxt sequencing,
 look-ahead scheduling, reserved resources, occupancy accounting."""
 
-import pytest
-
 from repro.apps.program import KernelBuilder, ThreadProgram
 from tests.conftest import Completion, small_machine
 

@@ -17,7 +17,6 @@ from hypothesis import given, strategies as st
 
 from repro.common.errors import ConfigError
 from repro.network.messages import MsgType
-from repro.protocol import directory as d
 from repro.protocol import extensions, msi, registry
 from repro.protocol.handlers import build_handler_table
 

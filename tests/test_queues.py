@@ -102,25 +102,6 @@ class TestDualQueue:
         assert q.push("p2", True)
         assert not q.push("p3", True)
 
-    def test_drain_alternates_priority(self):
-        q = DualQueue("q", capacity=8, reserved=1)
-        q.push("a1", False)
-        q.push("p1", True)
-        first = q.drain(2)
-        q.push("a2", False)
-        q.push("p2", True)
-        second = q.drain(2)
-        # The section drained first flips between consecutive cycles.
-        first_was_proto = first[0].startswith("p")
-        second_was_proto = second[0].startswith("p")
-        assert first_was_proto != second_was_proto
-
-    def test_drain_is_fifo_within_section(self):
-        q = DualQueue("q", capacity=8)
-        for i in range(4):
-            q.push(i, False)
-        assert q.drain(4) == [0, 1, 2, 3]
-
     @given(st.lists(st.booleans(), min_size=1, max_size=50))
     def test_capacity_never_exceeded(self, pushes):
         q = DualQueue("q", capacity=5, reserved=2)

@@ -1,7 +1,5 @@
 """Register renaming: maps, free lists, reservations, checkpoints."""
 
-import pytest
-
 from repro.common.params import ProcessorParams
 from repro.isa.uop import FP_BASE, Uop, UopKind
 from repro.pipeline.regfile import RenameUnit

@@ -4,8 +4,8 @@ synchronization substrate the workloads are built on."""
 import pytest
 
 from repro.apps.base import AppContext, BlockMap
-from repro.apps.program import AWAIT, KernelBuilder, ThreadProgram
-from repro.apps.runtime import AddressSpace, SpinLock, TreeBarrier, spin_until
+from repro.apps.program import AWAIT
+from repro.apps.runtime import AddressSpace, SpinLock, spin_until
 from tests.conftest import small_machine
 
 

@@ -10,11 +10,7 @@ from repro.protocol.directory import DirectoryLayout
 from repro.protocol.handlers import boot_registers
 from repro.protocol.isa import (
     ADDR,
-    DIR_BASE,
-    ENTRY_SHIFT,
     HDR,
-    LINE_SHIFT,
-    LOCAL_MASK,
     T0,
     T1,
     ZERO,

@@ -1,7 +1,7 @@
 """TLBs and the instruction-space separation."""
 
 from repro.caches.hierarchy import _TLB
-from tests.conftest import Completion, small_machine
+from tests.conftest import Completion
 
 
 class TestTLBModel:
