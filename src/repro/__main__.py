@@ -20,7 +20,6 @@ from repro.core.models import MODELS
 from repro.fuzz.stress import SHARING_PATTERNS
 from repro.sim.experiments import APPS, PRESETS
 from repro.sim.report import format_table
-from repro.sim.sweep import NAMED_GRIDS
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -45,12 +44,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid_name(name: str) -> str:
+    """``--grid`` type: the sweep (and ``multiprocessing``) loads only
+    when a grid is named, not at every CLI start."""
+    from repro.sim.sweep import NAMED_GRIDS
+
+    if name not in NAMED_GRIDS:
+        raise argparse.ArgumentTypeError(
+            f"unknown grid {name!r} (choose from {', '.join(NAMED_GRIDS)})")
+    return name
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import time
 
     from pathlib import Path
 
     from repro.sim.sweep import (
+        NAMED_GRIDS,
         ResultCache,
         gate_results,
         make_grid,
@@ -428,8 +439,9 @@ def main(argv=None) -> int:
         "sweep",
         help="run a configuration grid in parallel with result caching",
     )
-    sweep_p.add_argument("--grid", choices=tuple(NAMED_GRIDS),
-                         help="a named grid (overrides the axis options)")
+    sweep_p.add_argument("--grid", type=_grid_name,
+                         help="a named grid, see --list-grids (overrides "
+                         "the axis options)")
     sweep_p.add_argument("--list-grids", action="store_true",
                          help="list named grids and exit")
     sweep_p.add_argument("--apps", default=",".join(APPS),

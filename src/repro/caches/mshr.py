@@ -15,6 +15,8 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, List, Optional
 
+from repro.common.events import EventWheel
+
 
 class MissKind(enum.Enum):
     READ = "read"
@@ -47,10 +49,16 @@ class MSHREntry:
         "upgrade_pending",
         "request_upgrade",
         "inval_after_fill",
+        "alloc_cycle",
     )
 
     def __init__(
-        self, line_addr: int, kind: MissKind, protocol: bool, store_class: bool
+        self,
+        line_addr: int,
+        kind: MissKind,
+        protocol: bool,
+        store_class: bool,
+        alloc_cycle: int,
     ) -> None:
         self.line_addr = line_addr
         self.kind = kind
@@ -72,6 +80,9 @@ class MSHREntry:
         # A stale invalidation raced this fill and was acked early; a
         # non-writable fill must still be discarded after use.
         self.inval_after_fill = False
+        # The machine watchdog's age clock: a line that misses again
+        # gets a fresh entry, hence a fresh age.
+        self.alloc_cycle = alloc_cycle
 
     @property
     def complete(self) -> bool:
@@ -97,6 +108,11 @@ class MSHRFile:
         #: freed, since that can unblock issue attempts that found the
         #: file full and were never registered as waiters.
         self.on_free: Optional[Callable[[], None]] = None
+        #: The clock of the watchdog's stamps: the node wires in its
+        #: wheel; a standalone file keeps one that stays at cycle 0.
+        self.clock = EventWheel()
+        #: Cycle of the last :meth:`free` (progress, to the watchdog).
+        self.last_free = 0
 
     # -- capacity ---------------------------------------------------------
     @property
@@ -142,7 +158,9 @@ class MSHRFile:
             raise ValueError(f"MSHR already holds {line_addr:#x}; merge instead")
         if not self._can_allocate(protocol, store):
             return None
-        entry = MSHREntry(line_addr, kind, protocol, store_class=store and not protocol)
+        entry = MSHREntry(
+            line_addr, kind, protocol, store and not protocol, self.clock.now
+        )
         self.entries[line_addr] = entry
         if protocol:
             self._proto_used += 1
@@ -189,6 +207,7 @@ class MSHRFile:
             self._store_used -= 1
         else:
             self._app_used -= 1
+        self.last_free = self.clock.now
         if self.on_free is not None:
             self.on_free()
         return entry.waiters

@@ -17,21 +17,13 @@ class ConfigError(SimulationError):
 
 
 class DeadlockError(SimulationError):
-    """The machine-wide watchdog saw no forward progress.
+    """The machine watchdog saw no forward progress.
 
-    Raised by :class:`repro.core.machine.Machine` when no instruction
-    commits on any node within the watchdog window.  The message
-    includes a dump of per-node pipeline and memory-controller state.
-    """
-
-
-class LivelockError(DeadlockError):
-    """Transactions keep retrying but none complete.
-
-    Raised by the online sanitizer (:mod:`repro.fuzz.sanitizer`) when a
-    miss stays outstanding past its age limit even though handlers are
-    still firing — the NACK-retry-storm shape of no-forward-progress,
-    which the commit watchdog alone cannot see.
+    Raised by :class:`repro.core.machine.Machine` when an MSHR entry
+    stays outstanding for more than ``watchdog_cycles``, or when for
+    that long no core commits and no MSHR entry frees.  The message
+    names each stuck line (age, retries, pending acks, home directory
+    entry) and dumps every node's queues, engine and core.
     """
 
 

@@ -31,19 +31,13 @@ class EventWheel:
     def schedule(self, delay: int, fn: Callable[[], None]) -> None:
         self.schedule_at(self.now + max(0, delay), fn)
 
-    def tick(self, cycle: int) -> int:
-        """Advance to ``cycle`` and run every event due at or before it.
-
-        Returns the number of events fired.
-        """
+    def tick(self, cycle: int) -> None:
+        """Advance to ``cycle`` and run every event due at or before it."""
         self.now = cycle
-        fired = 0
         heap = self._heap
         while heap and heap[0][0] <= cycle:
             _, _, fn = heapq.heappop(heap)
             fn()
-            fired += 1
-        return fired
 
     def next_event_cycle(self) -> int:
         """Cycle of the earliest pending event, or -1 if none."""

@@ -243,7 +243,9 @@ class MachineParams:
     # Per-node local memory (bytes of application address space homed
     # at each node); scaled presets shrink this with the workloads.
     local_memory_bytes: int = 1 << 30
-    # Forward-progress watchdog: cycles with no commit machine-wide.
+    # Forward-progress watchdog (every run): DeadlockError once an MSHR
+    # entry is outstanding this long, or this long passes with no
+    # commit and no MSHR free machine-wide.
     watchdog_cycles: int = 2_000_000
     # Attach the coherence sanitizer (repro.fuzz.sanitizer): check_store
     # (swmr / store-no-copy / data-value) at every committed store, and
@@ -251,9 +253,9 @@ class MachineParams:
     # check_swmr, check_quiescent_line on every line).
     check_coherence: bool = False
     # The sanitizer's online sweep: every sanitize_interval cycles,
-    # check_swmr and check_entry over every cached line, occupancy
-    # accounting and a livelock watchdog; also attaches the per-store
-    # check.  Zero simulator overhead while both flags are False.
+    # check_swmr and check_entry over every cached line and occupancy
+    # accounting; also attaches the per-store check.  Zero simulator
+    # overhead while both flags are False.
     sanitize: bool = False
     # Cycles between full sanitizer sweeps (per-store checks always run).
     sanitize_interval: int = 64

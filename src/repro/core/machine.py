@@ -15,7 +15,7 @@ was woken to do) any work; when the whole machine is quiescent the
 loop fast-forwards the clock to the next cycle at which anything *can*
 happen — the earliest event-wheel entry, the next memory-controller
 dispatch opportunity, a busy functional unit freeing, the sanitizer's
-next sweep, or watchdog expiry.  The skipped idle polls' per-cycle
+next sweep, or the watchdog deadline.  The skipped idle polls' per-cycle
 side effects are accounted analytically (stall and busy cycles accrue
 from anchor cycles, round-robin rotation and arbitration parity are
 functions of the cycle number), so the resulting statistics and traces
@@ -24,9 +24,11 @@ Skipped cycles are counted in ``Machine.skipped_cycles``.  Setting
 ``REPRO_DENSE_STEP=1`` in the environment runs the loops on the dense
 :meth:`step` with no skipping, for differential testing.
 
-Forward progress is watched: if no instruction commits and no memory
-event fires for ``watchdog_cycles``, a :class:`DeadlockError` with a
-per-node dump is raised — protocol bugs surface as dumps, not hangs.
+Forward progress is watched against one deadline, ``min(allocation
+cycle of the oldest outstanding MSHR entry, last commit or MSHR free)
++ watchdog_cycles``: a miss starving while retries and other threads
+run, or a machine where nothing completes, raises a
+:class:`DeadlockError` naming each stuck line — reports, not hangs.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ from __future__ import annotations
 import os
 from typing import Dict, List
 
+from repro.caches.hierarchy import is_app_line
 from repro.common.errors import DeadlockError
 from repro.common.events import EventWheel
 from repro.common.params import MachineParams
 from repro.common.stats import MachineStats
 from repro.core.node import Node
 from repro.network.fabric import Interconnect
-from repro.protocol.directory import DirectoryLayout
+from repro.protocol.directory import DirectoryLayout, describe
 from repro.protocol import registry
 
 
@@ -99,14 +102,20 @@ class Machine:
             # Shadow the class method so the un-sanitized step path pays
             # nothing — not even a None check — when the flag is off.
             self.step = self._sanitized_step
-        self._progress_cycle = 0
+        #: Last cycle any core committed (stamped by the cores).
+        self._commit_cycle = 0
         # Per-cycle hot-path caches: the node list never changes after
         # construction, and mc_divisor/watchdog_cycles are frozen
         # dataclass properties (recomputed on every access otherwise).
         self._mcs = [node.mc for node in self.nodes]
+        self._mshr_files = [node.hierarchy.mshrs for node in self.nodes]
         self._cores: List = []
         self._mc_divisor = mp.mc_divisor
         self._watchdog = mp.watchdog_cycles
+        #: The watchdog deadline :meth:`_watch` last computed, a lower
+        #: bound: the true one never decreases (an allocation stamps the
+        #: current cycle, no earlier than any progress stamp).
+        self._deadline = self._watchdog
         # Active-set scheduler state (:meth:`_event_step`): per-cycle
         # work is proportional to the number of *active* components,
         # not ``n_nodes``.  A core leaves the active set when it goes
@@ -175,10 +184,6 @@ class Machine:
                 node.core.sample_protocol_peaks()
 
     # ------------------------------------------------------------------
-    def note_progress(self) -> None:
-        """Called by cores on commit and by tests on external progress."""
-        self._progress_cycle = self.cycle
-
     def step(self) -> None:
         self.cycle = cycle = self.cycle + 1
         wheel = self.wheel
@@ -186,8 +191,7 @@ class Machine:
         # comparison, but skipping the call (and its per-cycle
         # bookkeeping) matters at ~50k cycles per simulated run.
         if wheel._heap and wheel._heap[0][0] <= cycle:
-            if wheel.tick(cycle):
-                self._progress_cycle = cycle
+            wheel.tick(cycle)
         else:
             wheel.now = cycle
         if cycle % self._mc_divisor == 0:
@@ -202,7 +206,7 @@ class Machine:
             core._asleep = False
             core.step()
         self._cores_dirty = True
-        if cycle - self._progress_cycle > self._watchdog:
+        if cycle > self._deadline and cycle > self._watch():
             raise DeadlockError(self._deadlock_report())
 
     def _sanitized_step(self) -> None:
@@ -226,8 +230,7 @@ class Machine:
         self.cycle = cycle = self.cycle + 1
         wheel = self.wheel
         if wheel._heap and wheel._heap[0][0] <= cycle:
-            if wheel.tick(cycle):
-                self._progress_cycle = cycle
+            wheel.tick(cycle)
         else:
             wheel.now = cycle
         if cycle % self._mc_divisor == 0:
@@ -278,7 +281,7 @@ class Machine:
                     # active set entirely.  A wake hook re-registers.
                     core._asleep = True
                     self._cores_dirty = True
-        if cycle - self._progress_cycle > self._watchdog:
+        if cycle > self._deadline and cycle > self._watch():
             raise DeadlockError(self._deadlock_report())
         if self._sweeper is not None:
             self._sweeper.on_cycle(cycle)
@@ -291,8 +294,7 @@ class Machine:
         self.cycle = cycle = self.cycle + 1
         wheel = self.wheel
         if wheel._heap and wheel._heap[0][0] <= cycle:
-            if wheel.tick(cycle):
-                self._progress_cycle = cycle
+            wheel.tick(cycle)
         else:
             wheel.now = cycle
         if cycle % self._mc_divisor == 0:
@@ -325,7 +327,7 @@ class Machine:
                 awake = True
         elif not core._accruing:
             core._open_anchors(cycle)
-        if cycle - self._progress_cycle > self._watchdog:
+        if cycle > self._deadline and cycle > self._watch():
             raise DeadlockError(self._deadlock_report())
         return awake
 
@@ -474,17 +476,15 @@ class Machine:
 
     def _next_wake_cycle(self) -> int:
         """Earliest cycle > now at which some component can do work (or
-        a time-gated check must run).  Always finite: watchdog expiry
-        bounds it."""
+        a time-gated check must run).  Always finite: the watchdog
+        deadline bounds it."""
         now = self.cycle
         nxt = self.wheel.next_event_cycle()
         if nxt == now + 1:
             # Nothing can fire earlier than the next cycle; skip the
             # (comparatively costly) controller/unit scans outright.
             return nxt
-        best = self._progress_cycle + self._watchdog + 1
-        if nxt != -1 and nxt < best:
-            best = nxt
+        best = nxt if nxt != -1 else self._watch() + 1
         d = self._mc_divisor
         for mc in self._mcs:
             if mc._sleep_from:
@@ -526,6 +526,8 @@ class Machine:
                 best = unit
         if self._sweeper is not None and self._sweeper._next_sweep < best:
             best = self._sweeper._next_sweep
+        if best > self._deadline + 1:
+            best = min(best, self._watch() + 1)  # the exact horizon
         return max(best, now + 1)
 
     def _apply_skip(self, skipped: int) -> None:
@@ -560,8 +562,51 @@ class Machine:
             for node in self.nodes
         )
 
+    # ------------------------------------------------------------------
+    # Forward-progress watchdog
+    # ------------------------------------------------------------------
+
+    def _watch(self) -> int:
+        """Refresh the cached watchdog deadline and return it."""
+        files = self._mshr_files
+        last = max(self._commit_cycle, *[f.last_free for f in files])
+        # Entries sit in allocation order: the first is the oldest.
+        oldest = [next(iter(f.entries.values())).alloc_cycle
+                  for f in files if f.entries]
+        self._deadline = min([last, *oldest]) + self._watchdog
+        return self._deadline
+
     def _deadlock_report(self) -> str:
-        lines = [f"no forward progress since cycle {self._progress_cycle}"]
+        """Every MSHR entry older than ``watchdog_cycles`` (kind, age,
+        retries, pending acks, home directory entry), then each node's
+        queues and engine, then each core."""
+        cycle = self.cycle
+        layout = self.layout
+        lines = [
+            f"no forward progress since cycle "
+            f"{self._watch() - self._watchdog} "
+            f"(now {cycle}, watchdog {self._watchdog} cycles)"
+        ]
+        for node in self.nodes:
+            for la, entry in node.hierarchy.mshrs.entries.items():
+                age = cycle - entry.alloc_cycle
+                if age <= self._watchdog:
+                    break  # allocation order: the rest are younger
+                if is_app_line(la):
+                    home = layout.home_of(la)
+                    word = self.nodes[home].pmem.get(
+                        layout.dir_entry_addr(la), 0
+                    )
+                    where = f"home {home} directory: {describe(word)}"
+                else:
+                    where = "protocol space"
+                lines.append(
+                    f"  node {node.node_id} line {la:#x}: {entry.kind.value}"
+                    f" miss, age {age}, retries {entry.retries}, acks "
+                    f"pending {entry.pending_acks}, data "
+                    f"{'arrived' if entry.data_arrived else 'missing'}, "
+                    f"upgrade={entry.request_upgrade} — {where}"
+                )
         lines.extend(node.describe_state() for node in self.nodes)
         for node in self.nodes:
             if node.core is not None:

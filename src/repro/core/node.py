@@ -62,6 +62,7 @@ class Node:
 
         h = self.hierarchy
         h.schedule = wheel.schedule
+        h.mshrs.clock = wheel
         h.app_miss_port = self.mc.app_miss
         h.proto_miss_port = self.mc.proto_miss
         h.writeback_port = self.mc.writeback
@@ -91,13 +92,13 @@ class Node:
         )
 
     def describe_state(self) -> str:
-        """One-line dump for the deadlock watchdog."""
-        busy = ""
-        if self.mc.engine is not None and not self.mc.engine.can_accept():
-            busy = " engine-busy"
+        """One-line queue and engine dump for the deadlock watchdog."""
+        engine = "none"
+        if self.mc.engine is not None:
+            engine = "ready" if self.mc.engine.can_accept() else "busy"
         return (
             f"node {self.node_id}: mshrs={len(self.hierarchy.mshrs)} "
             f"lmi={len(self.mc.local_queue)} "
             f"ni={[len(q) for q in self.mc.ni_in]} "
-            f"probes={len(self.mc.probe_replies)}{busy}"
+            f"probes={len(self.mc.probe_replies)} engine={engine}"
         )

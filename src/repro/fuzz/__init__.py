@@ -8,8 +8,8 @@ first-class subsystem:
   the :mod:`repro.protocol.invariants` predicates at every committed
   store and in an end-of-run audit (``MachineParams.check_coherence``)
   and, with ``MachineParams.sanitize``, in periodic sweeps *while the
-  machine runs*, alongside queue/MSHR occupancy accounting and a
-  livelock watchdog with structured stuck-state diagnosis.
+  machine runs*, alongside queue/MSHR occupancy accounting.  Stuck
+  transactions are the machine watchdog's to report, sanitized or not.
 * :mod:`repro.fuzz.stress` — a seeded stress-traffic generator with
   configurable op mixes and sharing patterns, and a deterministic
   executor that can replay any recorded op sequence.

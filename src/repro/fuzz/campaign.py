@@ -138,7 +138,7 @@ def status_of(failure: BaseException) -> str:
     """Map a failure to its campaign status class."""
     if isinstance(failure, (CoherenceViolation, ProtocolError)):
         return "violation"
-    if isinstance(failure, DeadlockError):  # includes LivelockError
+    if isinstance(failure, DeadlockError):
         return "deadlock"
     return "error"
 

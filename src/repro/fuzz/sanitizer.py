@@ -12,20 +12,16 @@ or would report a corpse with no trail.
   node (``MachineParams.check_coherence`` or ``sanitize``):
   ``check_store``.
 * Per sweep, every ``sanitize_interval`` cycles (``sanitize`` only):
-  ``check_swmr`` and ``check_entry`` on every cached app line;
-  MSHR/queue/bypass occupancy accounting; and
-  a livelock watchdog — an MSHR entry outstanding for more than
-  ``watchdog_cycles`` is starving even if handlers keep firing (a NACK
-  storm the commit watchdog cannot see), reported as a
-  :class:`~repro.common.errors.LivelockError` with a structured
-  diagnosis.
+  ``check_swmr`` and ``check_entry`` on every cached app line, and
+  MSHR/queue/bypass occupancy accounting.
 * End of run (:meth:`Sanitizer.audit`, from ``Machine.final_checks``
   with ``check_coherence``): ``check_entry``, ``check_swmr`` and
   ``check_quiescent_line`` on every line a cache, a directory entry or
   a committed store mentions.
 
 With both flags off the machine has no sanitizer and its step path is
-untouched (zero overhead).
+untouched (zero overhead).  Stuck misses are the machine watchdog's
+to report (:mod:`repro.core.machine`), in every run.
 
 The sweep costs per cached line, not per L2 way.  With ``sanitize``
 each L2 keeps a live index of its valid lines
@@ -42,12 +38,11 @@ the scan does.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.caches.coherence import CacheState
 from repro.caches.hierarchy import is_app_line
-from repro.common.errors import CoherenceViolation, LivelockError
-from repro.protocol import directory as d
+from repro.common.errors import CoherenceViolation
 from repro.protocol import invariants as inv
 
 _WRITABLE = (CacheState.EXCLUSIVE, CacheState.MODIFIED)
@@ -60,14 +55,8 @@ class Sanitizer:
         self.machine = machine
         mp = machine.mp
         self.interval = max(1, mp.sanitize_interval)
-        self.stuck_age = mp.watchdog_cycles
         self._next_sweep = self.interval
         self.store_counts: Dict[int, int] = defaultdict(int)
-        #: (node_id, line_addr) -> (entry object, cycle first seen).  The
-        #: entry reference distinguishes a genuinely stuck transaction
-        #: from a hot line that misses again and again (each re-miss is
-        #: a fresh entry — and fresh entries mean forward progress).
-        self._mshr_first_seen: Dict[Tuple[int, int], Tuple[object, int]] = {}
         self.sweeps = 0
         self.store_checks = 0
         # hierarchy -> the on_store callable we chained onto, so detach
@@ -192,7 +181,6 @@ class Sanitizer:
             self._check_occupancy(*occupancy)
         if self._indexed is None or not self._lines_pass():
             self._check_lines()
-        self._check_forward_progress(cycle)
 
     def _lines_pass(self) -> bool:
         """``check_swmr`` and ``check_entry`` on every cached app line,
@@ -330,62 +318,6 @@ class Sanitizer:
             )
             if failure is not None:
                 raise self._fail(failure, la)
-
-    # ------------------------------------------------------------------
-    # Livelock watchdog
-    # ------------------------------------------------------------------
-
-    def _check_forward_progress(self, cycle: int) -> None:
-        seen: Dict[Tuple[int, int], Tuple[object, int]] = {}
-        stuck: List[Tuple[int, int, int]] = []
-        for node in self.machine.nodes:
-            for la, entry in node.hierarchy.mshrs.entries.items():
-                key = (node.node_id, la)
-                prev = self._mshr_first_seen.get(key)
-                first = prev[1] if prev is not None and prev[0] is entry else cycle
-                seen[key] = (entry, first)
-                age = cycle - first
-                if age > self.stuck_age:
-                    stuck.append((node.node_id, la, age))
-        self._mshr_first_seen = seen
-        if stuck:
-            raise LivelockError(self.diagnose(stuck, cycle))
-
-    def diagnose(self, stuck: List[Tuple[int, int, int]], cycle: int) -> str:
-        """Structured report of what is wedged and where."""
-        machine = self.machine
-        layout = machine.layout
-        lines = [
-            f"cycle {cycle}: {len(stuck)} transaction(s) outstanding for "
-            f"more than {self.stuck_age} cycles"
-        ]
-        for node_id, la, age in stuck:
-            node = machine.nodes[node_id]
-            entry = node.hierarchy.mshrs.get(la)
-            home_id = layout.home_of(la)
-            dir_entry = machine.nodes[home_id].pmem.get(
-                layout.dir_entry_addr(la), 0
-            )
-            lines.append(
-                f"  node {node_id} line {la:#x}: {entry.kind.value} miss, "
-                f"age {age}, retries {entry.retries}, "
-                f"acks pending {entry.pending_acks}, "
-                f"data {'arrived' if entry.data_arrived else 'missing'}, "
-                f"upgrade={entry.request_upgrade} — home {home_id} "
-                f"directory: {d.describe(dir_entry)}"
-            )
-        for node in machine.nodes:
-            mc = node.mc
-            engine = "none"
-            if mc.engine is not None:
-                engine = "busy" if not mc.engine.can_accept() else "ready"
-            lines.append(
-                f"  node {node.node_id} queues: lmi={len(mc.local_queue)} "
-                f"ni={[len(q) for q in mc.ni_in]} "
-                f"probe_replies={len(mc.probe_replies)} engine={engine}"
-            )
-        lines.append(machine._deadlock_report())
-        return "\n".join(lines)
 
     # ------------------------------------------------------------------
 

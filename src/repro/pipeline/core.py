@@ -129,7 +129,7 @@ class SMTCore(ReferenceStages):
         self.pp: ProcessorParams = node.mp.proc
         self.hierarchy = node.hierarchy
         self.wheel = node.wheel
-        self.machine = None  # set by the machine for progress notes
+        self.machine = None  # set by the machine for commit stamps
 
         pp = self.pp
         self.rename = RenameUnit(pp)
@@ -613,7 +613,7 @@ class SMTCore(ReferenceStages):
                 self._worked = True
                 m = self.machine
                 if m is not None:
-                    m._progress_cycle = m.cycle  # note_progress, inlined
+                    m._commit_cycle = m.cycle  # the watchdog's commit stamp
             elif head.is_memory:
                 t.stats.memory_stall_cycles += 1
             else:
@@ -1152,7 +1152,7 @@ class SMTCore(ReferenceStages):
             self._worked = True
             m = self.machine
             if m is not None:
-                m._progress_cycle = m.cycle  # note_progress, inlined
+                m._commit_cycle = m.cycle  # the watchdog's commit stamp
 
     # ------------------------------------------------------------------
     # Fetch

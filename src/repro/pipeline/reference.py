@@ -90,8 +90,9 @@ class ReferenceStages:
                     break
         if committed_any:
             self._worked = True
-            if self.machine is not None:
-                self.machine.note_progress()
+            m = self.machine
+            if m is not None:
+                m._commit_cycle = m.cycle  # the watchdog's commit stamp
         for t in self._app_threads:
             if not t.done and not t.rob and t.icount == 0 and t.source.done:
                 t.done = True

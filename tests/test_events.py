@@ -10,8 +10,9 @@ class TestEventWheel:
         w = EventWheel()
         fired = []
         w.schedule_at(5, lambda: fired.append("a"))
-        assert w.tick(4) == 0
-        assert w.tick(5) == 1
+        w.tick(4)
+        assert fired == []
+        w.tick(5)
         assert fired == ["a"]
 
     def test_relative_schedule(self):

@@ -8,7 +8,7 @@ from repro.caches.mshr import MissKind
 from repro.common.errors import (
     CoherenceViolation,
     ConfigError,
-    LivelockError,
+    DeadlockError,
 )
 from repro.fuzz.artifact import load_artifact, replay_artifact
 from repro.fuzz.campaign import (
@@ -137,25 +137,36 @@ class TestSanitizerCatchesBugs:
             m.sanitizer.sweep(m.cycle)
 
     def test_livelock_watchdog_fires_with_diagnosis(self):
-        m = sanitized_machine()
-        m.nodes[0].hierarchy.mshrs.allocate(0x2000, MissKind.READ)
-        m.sanitizer.sweep(0)
-        with pytest.raises(LivelockError) as exc:
-            m.sanitizer.sweep(m.mp.watchdog_cycles + 100)
+        # One miss never completes while others keep completing: the
+        # machine watchdog fires on its age alone, with no sanitizer.
+        m = small_machine("base", n_nodes=2, watchdog_cycles=3_000)
+        mshrs = m.nodes[0].hierarchy.mshrs
+        mshrs.allocate(0x2000, MissKind.READ)  # never issued
+        done = Completion(m)
+        with pytest.raises(DeadlockError) as exc:
+            for i in range(20):
+                m.nodes[0].hierarchy.load(0x4000 + i * 0x80, False, done.cb(i))
+                for _ in range(300):
+                    m.step()
+        assert m.cycle == m.mp.watchdog_cycles + 1
+        assert mshrs.last_free > 0  # the other misses kept completing
         msg = str(exc.value)
-        assert "node 0 line 0x2000" in msg
-        assert "queues" in msg  # the structured queue/engine dump
+        assert msg.startswith("no forward progress since cycle 0")
+        assert "node 0 line 0x2000: read miss, age 3001" in msg
+        assert "engine=" in msg and "lmi=" in msg  # queue/engine dump
 
     def test_fresh_entries_are_progress_not_livelock(self):
         # A hot line that re-misses gets a new MSHR entry each time;
         # entry identity must reset the age clock.
-        m = sanitized_machine()
+        m = small_machine("base", n_nodes=2, watchdog_cycles=3_000)
         mshrs = m.nodes[0].hierarchy.mshrs
         step = m.mp.watchdog_cycles // 2 + 1
-        for i in range(5):
+        for _ in range(5):
             mshrs.allocate(0x2000, MissKind.READ)
-            m.sanitizer.sweep(i * step)
+            for _ in range(step):
+                m.step()
             mshrs.free(0x2000)
+        assert m.cycle > 2 * m.mp.watchdog_cycles
 
 
 class TestFaults:
