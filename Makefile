@@ -75,13 +75,13 @@ lint:
 # protocol-heavy SMTp 2-way n=4 cell a >=1.1x floor over the
 # pre-SMT-compile build (the pre_smt_compile block — see
 # benchmarks/README.md for why the floor is 1.1x, not the 2x the
-# fused path originally targeted).  Cells are timed in CPU seconds,
-# best-of-5 (min = contention-free cost), and the gate normalizes by
+# fused path originally targeted).  --gate times each cell in CPU
+# seconds, best-of-5 (min = contention-free cost), and normalizes by
 # a box-speed calibration loop recorded in the BENCH file; --refresh
 # forces fresh timings (cache hits carry none); --jobs 0 runs the
 # cells inline so timings stay comparable.
 smoke:
-	REPRO_BENCH_BEST_OF=5 PYTHONPATH=src $(PYTHON) -m repro sweep \
+	PYTHONPATH=src $(PYTHON) -m repro sweep \
 		--grid smoke --name smoke --jobs 0 --timeout 120 \
 		--refresh --gate BENCH_smoke.json
 
@@ -91,7 +91,7 @@ smoke:
 # wall clock on one core at best-of-5; commit the refreshed file when
 # the cells legitimately got faster.
 fig2:
-	REPRO_BENCH_BEST_OF=5 PYTHONPATH=src $(PYTHON) -m repro sweep \
+	PYTHONPATH=src $(PYTHON) -m repro sweep \
 		--grid fig2 --name fig2 --jobs 0 --timeout 300 \
 		--refresh --gate BENCH_fig2.json
 
@@ -99,18 +99,11 @@ fig2:
 # tiny preset) that keeps the paper's multi-node regime affordable
 # under the fused multi-threaded fast path.  Runs the smtp16 grid
 # gated against the committed BENCH_smtp16.json (same >25% rule +
-# pre_smt_compile speedup floors as `make smoke`), then holds the
-# freshly written trajectory against a snapshot of the committed one
-# with tools/perf_delta.py, so the A/B survives as two artifacts.
+# pre_smt_compile speedup floors as `make smoke`).
 smtp16-smoke:
-	@cp BENCH_smtp16.json BENCH_smtp16.baseline.json
-	REPRO_BENCH_BEST_OF=5 PYTHONPATH=src $(PYTHON) -m repro sweep \
+	PYTHONPATH=src $(PYTHON) -m repro sweep \
 		--grid smtp16 --name smtp16 --jobs 0 --timeout 600 \
-		--refresh --gate BENCH_smtp16.json || \
-		{ rm -f BENCH_smtp16.baseline.json; exit 1; }
-	$(PYTHON) tools/perf_delta.py BENCH_smtp16.baseline.json \
-		BENCH_smtp16.json; status=$$?; \
-		rm -f BENCH_smtp16.baseline.json; exit $$status
+		--refresh --gate BENCH_smtp16.json
 
 # Alternating-pair perfbench A/B of this checkout against another one
 # (e.g. a `git archive` of the parent commit):

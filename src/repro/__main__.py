@@ -56,14 +56,16 @@ def _grid_name(name: str) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    import json
     import time
 
     from pathlib import Path
 
     from repro.sim.sweep import (
+        GATE_BEST_OF,
         NAMED_GRIDS,
         ResultCache,
-        gate_results,
+        compare,
         make_grid,
         measure_reference_s,
         run_sweep,
@@ -120,7 +122,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: --cache-dir: {exc}", file=sys.stderr)
         return 2
+    baseline = None
     if args.gate:
+        # Read the committed trajectory up front: a bad path fails
+        # before the cells run, and when --out points at the repo root
+        # the refreshed file overwrites it.
+        try:
+            baseline = json.loads(Path(args.gate).read_text())
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read gate baseline {args.gate}: {exc}",
+                  file=sys.stderr)
+            return 2
         # Gated runs compare per-cell timings; let the CPU clock
         # settle first so the earliest cells aren't timed cold.
         warm_up_cpu()
@@ -132,6 +144,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         timeout=args.timeout or None,
         retries=args.retries,
         progress=print,
+        best_of=GATE_BEST_OF if args.gate else 1,
     )
     wall = time.perf_counter() - t0
 
@@ -169,48 +182,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             print(render(results))
 
-    baseline = None
-    if args.gate:
-        # Read the committed trajectory *before* write_bench_json —
-        # when --out points at the repo root the refreshed file
-        # overwrites it.
-        import json as _json
-
-        try:
-            baseline = _json.loads(Path(args.gate).read_text())
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read gate baseline {args.gate}: {exc}",
-                  file=sys.stderr)
-            return 2
-
     # Box-speed calibration, timed right after the cells so it sees
     # the same machine conditions; the gate normalizes with it.
     reference_s = measure_reference_s()
-
-    # The speedup-floor blocks are sticky: a refresh rewrites the
-    # timing rows but keeps the recorded reference-build blocks it
-    # gates against (interpreter-era, pre-app-compile-era and
-    # pre-SMT-compile-era).
-    pre_compile = baseline.get("pre_compile") if baseline else None
-    pre_app_compile = baseline.get("pre_app_compile") if baseline else None
-    pre_smt_compile = baseline.get("pre_smt_compile") if baseline else None
     path = write_bench_json(args.out, name, results, jobs=jobs,
                             wall_clock_s=wall, reference_s=reference_s,
-                            pre_compile=pre_compile,
-                            pre_app_compile=pre_app_compile,
-                            pre_smt_compile=pre_smt_compile)
+                            baseline=baseline)
     print(f"\nwrote {path}")
 
     if baseline is not None:
-        failures, lines = gate_results(results, baseline,
-                                       reference_s=reference_s)
+        try:
+            failures, lines = compare(baseline, json.loads(path.read_text()))
+        except ValueError as exc:
+            print(f"error: gate baseline {args.gate}: {exc}", file=sys.stderr)
+            return 2
         print()
         for line in lines:
-            print(line)
+            print(f"gate: {line}")
         if failures:
             print(
                 f"\ngate: {failures} cell(s) slower than the committed "
-                f"trajectory beyond the allowed headroom"
+                f"trajectory beyond the allowed headroom or below a "
+                f"speedup floor"
             )
             return 1
         print("\ngate: no timing regressions; refreshed file becomes "
@@ -469,9 +462,11 @@ def main(argv=None) -> int:
     sweep_p.add_argument("--name", default=None,
                          help="report name (default: grid name or 'sweep')")
     sweep_p.add_argument("--gate", default=None, metavar="BENCH_JSON",
-                         help="fail if any fresh cell is >25%% slower than "
-                              "this committed trajectory (use with "
-                              "--refresh for fresh timings)")
+                         help="time each cell best-of-5 and fail if any "
+                              "fresh cell is >25%% slower than this "
+                              "committed trajectory or below one of its "
+                              "speedup floors (use with --refresh for "
+                              "fresh timings)")
     sweep_p.add_argument("--profile", type=int, default=0, metavar="N",
                          help="run the first cell of the grid inline under "
                               "cProfile and print the top-N cumulative "

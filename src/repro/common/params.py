@@ -142,6 +142,11 @@ class ProcessorParams:
     def __post_init__(self) -> None:
         if self.app_threads not in (1, 2, 4):
             raise ConfigError(f"app_threads must be 1, 2 or 4: {self.app_threads}")
+        if self.bypass_buffer_lines < 1:
+            raise ConfigError(
+                f"bypass_buffer_lines must be at least 1: "
+                f"{self.bypass_buffer_lines}"
+            )
 
     @property
     def total_threads(self) -> int:

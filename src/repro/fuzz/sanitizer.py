@@ -173,9 +173,9 @@ class Sanitizer:
         if cycle < self._next_sweep:
             return
         self._next_sweep = cycle + self.interval
-        self.sweep(cycle)
+        self.sweep()
 
-    def sweep(self, cycle: int) -> None:
+    def sweep(self) -> None:
         self.sweeps += 1
         for occupancy in self._occupancy:
             self._check_occupancy(*occupancy)

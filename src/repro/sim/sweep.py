@@ -26,6 +26,9 @@ Entry points:
 * :class:`ResultCache` — the on-disk cell store.
 * :func:`write_bench_json` — emit a machine-readable ``BENCH_*.json``
   trajectory file for a finished sweep.
+* :func:`compare` — the perf-gate rule: hold a fresh ``BENCH_*.json``
+  document against a committed one (``repro sweep --gate``,
+  ``tools/perf_delta.py``).
 * :func:`pool_map` — the underlying generic worker pool (one
   terminate-able subprocess per in-flight item); also drives
   :func:`repro.fuzz.campaign.run_campaign`.
@@ -38,6 +41,7 @@ Entry points:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -131,11 +135,7 @@ class SweepCell:
 
     @property
     def label(self) -> str:
-        extra = "".join(f" {k}={v}" for k, v in self.flags)
-        return (
-            f"{self.app}/{self.model} n={self.n_nodes} w={self.ways} "
-            f"{self.freq_ghz:g}GHz {self.preset}{extra}"
-        )
+        return _key_label(row_key(self.to_dict()))
 
     def to_dict(self) -> Dict[str, object]:
         d = dataclasses.asdict(self)
@@ -145,12 +145,9 @@ class SweepCell:
     # -- cache identity ------------------------------------------------
 
     def _key_payload(self) -> Dict[str, object]:
-        from repro.apps.compile import (
-            APP_COMPILER_VERSION,
-            app_interp_forced,
-        )
+        from repro.apps.compile import app_interp_forced
         from repro.core.models import make_machine_params
-        from repro.protocol.compile import COMPILER_VERSION, interp_forced
+        from repro.protocol.compile import interp_forced
         from repro.sim.experiments import preset_sizes
 
         mp = make_machine_params(
@@ -167,18 +164,15 @@ class SweepCell:
             "sizes": preset_sizes(self.app, self.preset),
             "machine": dataclasses.asdict(mp),
             "max_cycles": self.max_cycles,
-            # Execution-mode escape hatches change per-cell timings
-            # (stats are bit-identical by contract, but cached rows
-            # carry elapsed_s, which the perf gate consumes), so
-            # dense-loop or interpreter-mode runs must never serve
-            # cache entries to the other mode.  The compiler version
-            # rides along so a compilation-strategy bump re-times
-            # every cell even when no source file changed.
+            # The execution-mode escape hatches select the reference
+            # paths.  Their stats are bit-identical by contract, but a
+            # reference-mode sweep exists to run the reference, so it
+            # must never be served the fused paths' cached results (or
+            # the reverse).  Compiler version bumps need no entry: they
+            # edit sources that code_version() hashes.
             "dense_step": os.environ.get("REPRO_DENSE_STEP", "") == "1",
             "interp": interp_forced(),
-            "compiler": COMPILER_VERSION,
             "app_interp": app_interp_forced(),
-            "app_compiler": APP_COMPILER_VERSION,
         }
 
     def cache_key(self) -> str:
@@ -364,7 +358,7 @@ def warm_start(cell: SweepCell) -> float:
     return time.process_time() - start
 
 
-def run_cell(cell: SweepCell) -> CellResult:
+def run_cell(cell: SweepCell, best_of: int = 1) -> CellResult:
     """Run one cell in the current process, degrading errors to rows.
 
     ``elapsed_s`` is CPU time of the simulating process, not wall
@@ -372,20 +366,19 @@ def run_cell(cell: SweepCell) -> CellResult:
     runs, and on a shared box wall clock of sub-second cells swings
     far more than the 25% regression headroom.  Even CPU time of one
     sub-second run is noisy under transient neighbour contention, so
-    ``REPRO_BENCH_BEST_OF=N`` re-runs the (deterministic) simulation N
-    times and records the *minimum* — the contention-free cost — which
-    is what gated sweeps should use.  One-time compile/prebuild cost
-    is paid up front by :func:`warm_start` and reported separately
+    gated sweeps re-run the (deterministic) simulation ``best_of``
+    times (:data:`GATE_BEST_OF`) and record the *minimum* — the
+    contention-free cost.  One-time compile/prebuild cost is paid up
+    front by :func:`warm_start` and reported separately
     (``compile_s``), so ``elapsed_s`` tracks steady-state simulation
     throughput.
     """
     from repro.sim.driver import run_app
 
     compile_s = warm_start(cell)
-    repeats = max(1, int(os.environ.get("REPRO_BENCH_BEST_OF", "1")))
     best = float("inf")
     st = None
-    for _ in range(repeats):
+    for _ in range(best_of):
         start = time.process_time()
         try:
             st = run_app(
@@ -414,9 +407,9 @@ def run_cell(cell: SweepCell) -> CellResult:
     )
 
 
-def _sweep_entry(cell: SweepCell) -> Dict[str, object]:
+def _sweep_entry(cell: SweepCell, best_of: int) -> Dict[str, object]:
     """Worker-side entry for :func:`pool_map`: run one sweep cell."""
-    result = run_cell(cell)
+    result = run_cell(cell, best_of)
     return {
         "status": result.status,
         "stats": result.stats,
@@ -493,8 +486,9 @@ def pool_map(
     One process per item (not a long-lived pool) so an overdue or
     wedged simulation can be ``terminate()``-d without poisoning other
     items' workers.  Item runtimes are seconds-to-minutes, so the spawn
-    cost is noise.  ``fn`` must be a module-level (picklable) function
-    returning a picklable dict without a ``"_pool_status"`` key.
+    cost is noise.  ``fn`` must be a picklable module-level function
+    (or a ``functools.partial`` of one) returning a picklable dict
+    without a ``"_pool_status"`` key.
 
     ``on_done(ident, payload, outcome, elapsed_s, attempts)`` fires once
     per item, in completion order.  ``outcome`` is the dict ``fn``
@@ -594,6 +588,7 @@ def run_sweep(
     timeout: Optional[float] = None,
     retries: int = 0,
     progress: Optional[Callable[[str], None]] = None,
+    best_of: int = 1,
 ) -> List[CellResult]:
     """Run every cell; return one :class:`CellResult` per input cell,
     in input order (duplicates are simulated once).
@@ -608,6 +603,9 @@ def run_sweep(
     ``retries``
         Extra attempts for *timeout/crash* cells.  Simulation errors
         (``DeadlockError`` etc.) are deterministic and never retried.
+    ``best_of``
+        Timed runs per simulated cell; ``elapsed_s`` is the minimum
+        (see :func:`run_cell`).
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -655,7 +653,7 @@ def run_sweep(
 
     if jobs <= 0:
         for key, cell in pending:
-            finish(key, run_cell(cell))
+            finish(key, run_cell(cell, best_of))
     elif pending:
 
         def on_done(key, cell, outcome, elapsed, attempts):
@@ -693,7 +691,8 @@ def run_sweep(
                     attempts=attempts,
                 ))
 
-        pool_map(pending, _sweep_entry, jobs=jobs, timeout=timeout,
+        entry = functools.partial(_sweep_entry, best_of=best_of)
+        pool_map(pending, entry, jobs=jobs, timeout=timeout,
                  retries=retries, on_done=on_done)
 
     wall = time.perf_counter() - t0
@@ -774,8 +773,8 @@ def _grid_smtp16() -> List[SweepCell]:
     # CI-affordable while still exercising the regime the active-set
     # scheduler targets — most of the 16 nodes asleep at any instant,
     # coherence handlers dominating the awake work.  ``make
-    # smtp16-smoke`` runs this grid and holds it to the committed
-    # ``BENCH_smtp16.json`` via ``tools/perf_delta.py``.
+    # smtp16-smoke`` runs this grid gated against the committed
+    # ``BENCH_smtp16.json``.
     cells = make_grid(("fft", "ocean", "radix"), ("smtp",),
                       nodes=(16,), ways=(2,), preset="tiny")
     # One 1-way 16-node cell: the protocol thread shares the core with
@@ -971,7 +970,7 @@ NAMED_GRIDS: Dict[str, NamedGrid] = {
 # Perf-trajectory regression gate
 # ----------------------------------------------------------------------
 
-#: A fresh cell may be up to this factor slower than the committed
+#: A fresh timing may be up to this factor slower than the committed
 #: trajectory before the gate fails (timing-noise headroom).
 GATE_SLOWDOWN_LIMIT = 1.25
 
@@ -980,9 +979,24 @@ GATE_SLOWDOWN_LIMIT = 1.25
 #: 20ms is far below any regression worth gating on.
 GATE_SLACK_S = 0.02
 
-#: Default cycles/sec floor for ``pre_compile`` rows that do not carry
-#: their own ``min_speedup``: such rows are display-only (floor 0).
-PRE_COMPILE_DEFAULT_FLOOR = 0.0
+#: Timed runs per cell in a gated sweep (the row keeps the minimum).
+GATE_BEST_OF = 5
+
+#: ``configs`` row fields (``BENCH_model.json``) that must match
+#: exactly: the model checker's state-space counts.
+COUNT_FIELDS = ("states", "sym_states", "transitions", "pruned", "max_depth")
+
+#: Frozen reference-build blocks a BENCH doc may carry, each gated
+#: independently: the pre-handler-compilation interpreter build, the
+#: pre-app-compilation build (before the superblock-compiled app
+#: programs and the fused fetch/issue/commit fast path), and the
+#: pre-SMT-compilation build (before the fused multi-threaded
+#: ``_step_nt`` core path and the active-set machine scheduler).
+PRE_BUILD_BLOCKS: Tuple[Tuple[str, str], ...] = (
+    ("pre_compile", "pre-compile build"),
+    ("pre_app_compile", "pre-app-compile build"),
+    ("pre_smt_compile", "pre-SMT-compile build"),
+)
 
 
 def warm_up_cpu(seconds: float = 1.0) -> None:
@@ -1025,181 +1039,201 @@ def measure_reference_s(repeats: int = 5) -> float:
     return statistics.median(samples)
 
 
-def _gate_key(d: Dict[str, object]) -> Tuple:
+def row_key(row: Dict[str, object]) -> Tuple:
     """Identity of a cell row for baseline matching (config, not timing)."""
-    flags = d.get("flags") or {}
+    flags = row.get("flags") or {}
     return (
-        d["app"], d["model"], d["n_nodes"], d["ways"], d["freq_ghz"],
-        d["preset"], tuple(sorted(flags.items())),
+        row.get("app"), row.get("model"), row.get("n_nodes"),
+        row.get("ways"), row.get("freq_ghz"), row.get("preset"),
+        tuple(sorted(flags.items())),
     )
 
 
-def gate_results(
-    results: Sequence[CellResult],
+def _key_label(key: Tuple) -> str:
+    app, model, n_nodes, ways, freq_ghz, preset, flags = key
+    extra = "".join(f" {k}={v}" for k, v in flags)
+    return f"{app}/{model} n={n_nodes} w={ways} {freq_ghz:g}GHz {preset}{extra}"
+
+
+def _reference_s(doc: Dict[str, object]) -> float:
+    return float(doc.get("reference_s") or 0.0)
+
+
+def _box_scale(fresh_ref: float, base_ref: float) -> float:
+    """How many times slower this box reads than the baseline's.
+
+    1.0 unless both calibrations are known.  Clamped at 1.0: the
+    calibration only ever *excuses* slowness.  The loop is a rougher
+    workload than the simulator, so a fast reading must neither
+    tighten the slowdown limit nor inflate a speedup past its raw
+    value (a floor cannot pass on calibration noise alone).
+    """
+    if fresh_ref > 0 and base_ref > 0:
+        return max(1.0, fresh_ref / base_ref)
+    return 1.0
+
+
+def _fresh_timing(row: Dict[str, object]) -> float:
+    """A row's CPU seconds, or 0.0 when it carries no fresh timing
+    (failed, or served from the cache)."""
+    if row.get("status") != "ok" or row.get("cached"):
+        return 0.0
+    return float(row.get("elapsed_s") or 0.0)
+
+
+def _cycles(row: Dict[str, object]) -> float:
+    return float((row.get("stats") or {}).get("cycles") or 0.0)
+
+
+def _slowdown(
+    label: str, fresh_s: float, base_s: float, scale: float, limit: float,
+    note: str = "",
+) -> Tuple[bool, str]:
+    failed = fresh_s > base_s * scale * limit + GATE_SLACK_S
+    ratio = fresh_s / (base_s * scale) if base_s > 0 else float("inf")
+    return failed, (
+        f"{label}: {'FAIL' if failed else 'ok'} ({fresh_s:.3f}s vs "
+        f"{base_s:.3f}s baseline, {ratio:.2f}x, limit {limit:.2f}x{note})"
+    )
+
+
+def compare(
     baseline_doc: Dict[str, object],
+    fresh_doc: Dict[str, object],
     limit: float = GATE_SLOWDOWN_LIMIT,
-    reference_s: Optional[float] = None,
 ) -> Tuple[int, List[str]]:
-    """Compare fresh per-cell CPU times against a committed BENCH doc.
+    """Hold a fresh BENCH document against a committed one.
 
-    Returns ``(n_failures, report_lines)``.  A cell fails when its
-    fresh ``elapsed_s`` exceeds the baseline's by more than ``limit``
-    after box-speed normalization: when both this run's
-    ``reference_s`` and the baseline's are known (see
-    :func:`measure_reference_s`), each side's timing is divided by its
-    calibration first, so a uniformly slower box does not read as a
-    regression.  Cells without a fresh timing (cache hits — run the
-    sweep with ``refresh``/``--refresh`` to gate) or without a
-    baseline entry are reported but never fail; speedups simply become
-    the new baseline when the refreshed BENCH file is committed.
+    Returns ``(n_failures, report_lines)``; this is the whole perf-gate
+    rule, behind both ``repro sweep --gate`` and ``tools/perf_delta.py``.
 
-    Beyond the slowdown check, two speedup views are reported:
+    * **Sweep cells** (``cells``) match by :func:`row_key`.  A fresh
+      ``elapsed_s`` fails when it exceeds the baseline's by more than
+      ``limit`` plus :data:`GATE_SLACK_S`, after box-speed
+      normalization by the two documents' ``reference_s`` (see
+      :func:`measure_reference_s` and :func:`_box_scale`).  Failed and
+      cached rows SKIP (cache hits carry no timing), rows without a
+      baseline are NEW and baseline rows absent from the fresh run are
+      MISSING; none of these fail.
+    * **Reference-build blocks** (:data:`PRE_BUILD_BLOCKS`) of the
+      baseline report each matching fresh cell's cycles/sec speedup
+      over that recorded build, normalized by the block's own
+      ``reference_s``; a row carrying ``min_speedup`` fails below that
+      floor, the others are display-only.
+    * **Model-checker rows** (``configs``, ``BENCH_model.json``) match
+      by key.  A row missing from the fresh run or whose
+      :data:`COUNT_FIELDS` differ fails outright; ``seconds`` follows
+      the slowdown rule above.
 
-    * each gated cell's cycles/sec ratio vs its baseline row, so a
-      refresh shows at a glance what got faster;
-    * if the baseline doc carries a ``pre_compile`` block (reference
-      timings recorded from the pre-compilation interpreter build, see
-      ``benchmarks/README.md``), every matching cell's cycles/sec
-      speedup over that recorded build — and a row tagged with
-      ``min_speedup`` FAILS the gate if the compiled simulator ever
-      drops below that floor.  This keeps the headline win of the
-      compilation layer (>=1.5x on the protocol-heavy multi-node
-      cell) an enforced property, not a one-off measurement.
+    Raises ``ValueError`` when either document has neither ``cells``
+    nor ``configs``, which would compare nothing and pass.
     """
-    base: Dict[Tuple, Tuple[float, float]] = {}
-    for row in baseline_doc.get("cells", []):
-        if row.get("status") == "ok" and not row.get("cached"):
-            elapsed = float(row.get("elapsed_s") or 0.0)
-            stats = row.get("stats") or {}
-            if elapsed > 0:
-                base[_gate_key(row)] = (
-                    elapsed, float(stats.get("cycles") or 0.0)
-                )
-    scale = 1.0
-    base_ref = float(baseline_doc.get("reference_s") or 0.0)
-    if reference_s and base_ref > 0:
-        # >1 when this box is currently slower than the baseline's.
-        # Only ever *excuse* slowness (never tighten the gate): the
-        # calibration loop is a rougher workload than the simulator,
-        # so a fast calibration on a typical box must not manufacture
-        # failures.
-        scale = max(1.0, reference_s / base_ref)
-    failures = 0
-    lines = []
-    if scale != 1.0:
-        lines.append(
-            f"gate: box speed {scale:.2f}x baseline "
-            f"(calibration {reference_s:.3f}s vs {base_ref:.3f}s); "
-            f"comparing normalized timings"
-        )
-    for r in results:
-        label = r.cell.label
-        if not r.ok:
-            lines.append(f"gate: {label}: SKIP ({r.status})")
-            continue
-        if r.cached or r.elapsed_s <= 0:
-            lines.append(f"gate: {label}: SKIP (cached; no fresh timing)")
-            continue
-        entry = base.get(_gate_key(r.cell.to_dict()))
-        if entry is None:
-            lines.append(
-                f"gate: {label}: NEW ({r.elapsed_s:.3f}s, no baseline)"
+    for name, doc in (("baseline", baseline_doc), ("fresh", fresh_doc)):
+        if "cells" not in doc and "configs" not in doc:
+            raise ValueError(
+                f"{name} document has neither cells nor configs; "
+                f"nothing to compare"
             )
-            continue
-        ref, ref_cycles = entry
-        ratio = r.elapsed_s / (ref * scale)
-        failed = r.elapsed_s > ref * scale * limit + GATE_SLACK_S
-        verdict = "FAIL" if failed else "ok"
-        if failed:
-            failures += 1
-        speedup = ""
-        if ref_cycles > 0:
-            cs = (float(r.stats["cycles"]) / r.elapsed_s) * scale
-            cs_ref = ref_cycles / ref
-            speedup = f", {cs / cs_ref:.2f}x cyc/s"
-        lines.append(
-            f"gate: {label}: {verdict} ({r.elapsed_s:.3f}s vs "
-            f"{ref:.3f}s baseline, {ratio:.2f}x, limit {limit:.2f}x"
-            f"{speedup})"
-        )
-    for block_key, block_desc in PRE_BUILD_BLOCKS:
-        pre_failures, pre_lines = _gate_pre_build(
-            results, baseline_doc, block_key, block_desc,
-            reference_s=reference_s,
-        )
-        failures += pre_failures
-        lines += pre_lines
-    return failures, lines
-
-
-#: Frozen reference-build blocks a BENCH doc may carry, each gated
-#: independently: the pre-handler-compilation interpreter build, the
-#: pre-app-compilation build (before the superblock-compiled app
-#: programs and the fused fetch/issue/commit fast path), and the
-#: pre-SMT-compilation build (before the fused multi-threaded
-#: ``_step_nt`` core path and the active-set machine scheduler).
-PRE_BUILD_BLOCKS: Tuple[Tuple[str, str], ...] = (
-    ("pre_compile", "pre-compile build"),
-    ("pre_app_compile", "pre-app-compile build"),
-    ("pre_smt_compile", "pre-SMT-compile build"),
-)
-
-
-def _gate_pre_build(
-    results: Sequence[CellResult],
-    baseline_doc: Dict[str, object],
-    block_key: str,
-    block_desc: str,
-    reference_s: Optional[float] = None,
-) -> Tuple[int, List[str]]:
-    """Speedup-floor check against one recorded reference build.
-
-    The ``pre_compile``/``pre_app_compile`` blocks of a BENCH doc
-    freeze a reference build's per-cell CPU times (and the box
-    calibration they were measured under).  Each fresh cell matching a
-    recorded row gets a box-normalized cycles/sec speedup line; rows
-    carrying ``min_speedup`` turn that line into a hard floor.
-    Normalization mirrors the slowdown gate's bias: a slower box
-    *excuses* a low raw speedup, but a faster box never inflates one
-    past its raw value, so the floor cannot pass on calibration noise
-    alone.
-    """
-    block = baseline_doc.get(block_key)
-    if not isinstance(block, dict):
-        return 0, []
-    pre: Dict[Tuple, Dict[str, object]] = {
-        _gate_key(row): row for row in block.get("cells", [])
-    }
-    pre_ref = float(block.get("reference_s") or 0.0)
-    scale = 1.0
-    if reference_s and pre_ref > 0:
-        scale = max(1.0, reference_s / pre_ref)
+    fresh_ref = _reference_s(fresh_doc)
+    base_ref = _reference_s(baseline_doc)
+    scale = _box_scale(fresh_ref, base_ref)
     failures = 0
     lines: List[str] = []
-    for r in results:
-        if not r.ok or r.cached or r.elapsed_s <= 0:
-            continue
-        row = pre.get(_gate_key(r.cell.to_dict()))
-        if row is None:
-            continue
-        pre_elapsed = float(row.get("elapsed_s") or 0.0)
-        pre_cycles = float(row.get("cycles") or 0.0)
-        if pre_elapsed <= 0 or pre_cycles <= 0:
-            continue
-        speedup = (
-            (float(r.stats["cycles"]) / r.elapsed_s)
-            * scale
-            / (pre_cycles / pre_elapsed)
-        )
-        floor = float(row.get("min_speedup") or PRE_COMPILE_DEFAULT_FLOOR)
-        failed = floor > 0 and speedup < floor
-        if failed:
-            failures += 1
-        verdict = "FAIL" if failed else "ok"
-        floor_txt = f", floor {floor:.2f}x" if floor > 0 else ""
+    if scale != 1.0:
         lines.append(
-            f"gate: {r.cell.label}: {verdict} {speedup:.2f}x cyc/s vs "
-            f"{block_desc} ({block.get('commit', '?')}){floor_txt}"
+            f"box speed {scale:.2f}x baseline (calibration "
+            f"{fresh_ref:.3f}s vs {base_ref:.3f}s); comparing normalized "
+            f"timings"
+        )
+
+    base = {
+        row_key(row): row for row in baseline_doc.get("cells", [])
+        if _fresh_timing(row) > 0
+    }
+    seen = set()
+    timed: List[Tuple[Tuple, str, float, float]] = []
+    for row in fresh_doc.get("cells", []):
+        key = row_key(row)
+        label = _key_label(key)
+        seen.add(key)
+        elapsed = _fresh_timing(row)
+        if row.get("status") != "ok":
+            lines.append(f"{label}: SKIP ({row.get('status')})")
+            continue
+        if elapsed <= 0:
+            lines.append(f"{label}: SKIP (cached; no fresh timing)")
+            continue
+        cycles = _cycles(row)
+        timed.append((key, label, elapsed, cycles))
+        base_row = base.get(key)
+        if base_row is None:
+            lines.append(f"{label}: NEW ({elapsed:.3f}s, no baseline)")
+            continue
+        base_s = float(base_row["elapsed_s"])
+        base_cycles = _cycles(base_row)
+        note = ""
+        if base_cycles > 0:
+            speedup = (cycles / elapsed) * scale / (base_cycles / base_s)
+            note = f", {speedup:.2f}x cyc/s"
+        failed, line = _slowdown(label, elapsed, base_s, scale, limit, note)
+        failures += failed
+        lines.append(line)
+    for key in base:
+        if key not in seen:
+            lines.append(f"{_key_label(key)}: MISSING in fresh run")
+
+    for block_key, block_desc in PRE_BUILD_BLOCKS:
+        block = baseline_doc.get(block_key)
+        if not isinstance(block, dict):
+            continue
+        pre = {row_key(row): row for row in block.get("cells", [])}
+        pre_scale = _box_scale(fresh_ref, _reference_s(block))
+        for key, label, elapsed, cycles in timed:
+            row = pre.get(key)
+            if row is None:
+                continue
+            pre_s = float(row.get("elapsed_s") or 0.0)
+            pre_cycles = float(row.get("cycles") or 0.0)
+            if pre_s <= 0 or pre_cycles <= 0:
+                continue
+            speedup = (cycles / elapsed) * pre_scale / (pre_cycles / pre_s)
+            floor = float(row.get("min_speedup") or 0.0)
+            failed = speedup < floor
+            failures += failed
+            floor_txt = f", floor {floor:.2f}x" if floor > 0 else ""
+            lines.append(
+                f"{label}: {'FAIL' if failed else 'ok'} {speedup:.2f}x "
+                f"cyc/s vs {block_desc} ({block.get('commit', '?')})"
+                f"{floor_txt}"
+            )
+
+    base_cfg: Dict[str, Dict] = baseline_doc.get("configs") or {}
+    fresh_cfg: Dict[str, Dict] = fresh_doc.get("configs") or {}
+    for key in sorted(base_cfg):
+        row = fresh_cfg.get(key)
+        if row is None:
+            failures += 1
+            lines.append(f"{key}: FAIL (missing in fresh run)")
+            continue
+        drift = [
+            f"{field} {base_cfg[key].get(field)} -> {row.get(field)}"
+            for field in COUNT_FIELDS
+            if base_cfg[key].get(field) != row.get(field)
+        ]
+        if drift:
+            failures += 1
+            lines.append(f"{key}: FAIL (counts differ: {', '.join(drift)})")
+            continue
+        failed, line = _slowdown(
+            key, float(row["seconds"]), float(base_cfg[key]["seconds"]),
+            scale, limit,
+        )
+        failures += failed
+        lines.append(line)
+    for key in sorted(set(fresh_cfg) - set(base_cfg)):
+        lines.append(
+            f"{key}: NEW ({float(fresh_cfg[key]['seconds']):.3f}s, "
+            f"no baseline)"
         )
     return failures, lines
 
@@ -1216,9 +1250,7 @@ def write_bench_json(
     jobs: int,
     wall_clock_s: float,
     reference_s: Optional[float] = None,
-    pre_compile: Optional[Dict[str, object]] = None,
-    pre_app_compile: Optional[Dict[str, object]] = None,
-    pre_smt_compile: Optional[Dict[str, object]] = None,
+    baseline: Optional[Dict[str, object]] = None,
 ) -> Path:
     """Write ``BENCH_<name>.json`` summarizing a finished sweep.
 
@@ -1228,10 +1260,9 @@ def write_bench_json(
     ``reference_s`` the gate normalizes by — so successive commits'
     files can be diffed or plotted directly.
 
-    ``pre_compile``, ``pre_app_compile`` and ``pre_smt_compile`` are
-    the frozen reference-build blocks (see :func:`_gate_pre_build`);
-    the sweep CLI carries them over from the gate baseline on every
-    refresh so the speedup floors survive file rewrites.
+    ``baseline`` is the gate's committed document: its frozen
+    reference-build blocks (:data:`PRE_BUILD_BLOCKS`) are carried over,
+    so the speedup floors survive every refresh.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -1251,12 +1282,10 @@ def write_bench_json(
         "sim_seconds_total": round(sum(r.elapsed_s for r in results), 3),
         "cells": [r.to_dict() for r in results],
     }
-    if pre_compile is not None:
-        doc["pre_compile"] = pre_compile
-    if pre_app_compile is not None:
-        doc["pre_app_compile"] = pre_app_compile
-    if pre_smt_compile is not None:
-        doc["pre_smt_compile"] = pre_smt_compile
+    for key, _ in PRE_BUILD_BLOCKS:
+        block = (baseline or {}).get(key)
+        if block is not None:
+            doc[key] = block
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(doc, indent=1, sort_keys=True))
     os.replace(tmp, path)

@@ -76,7 +76,7 @@ def test_random_traffic_two_nodes(model, seed):
     if model == "smtp":
         _install_idle_cores(m)
     random_traffic(m, seed, n_ops=300, n_lines=4)
-    m.sanitizer.sweep(m.cycle)
+    m.sanitizer.sweep()
     m.final_checks()
 
 

@@ -108,7 +108,7 @@ class TestSanitizerCatchesBugs:
         m.quiesce()
         m.nodes[1].hierarchy.l2.install(0x1000, CacheState.MODIFIED, version=1)
         with pytest.raises(CoherenceViolation, match="writable at multiple"):
-            m.sanitizer.sweep(m.cycle)
+            m.sanitizer.sweep()
 
     def test_store_on_stale_copy_detected_at_the_store(self):
         m = sanitized_machine()
@@ -125,7 +125,7 @@ class TestSanitizerCatchesBugs:
         m = sanitized_machine()
         m.nodes[0].hierarchy.mshrs._app_used += 1
         with pytest.raises(CoherenceViolation, match="accounting drift"):
-            m.sanitizer.sweep(m.cycle)
+            m.sanitizer.sweep()
 
     def test_illegal_directory_state_detected(self):
         m = sanitized_machine()
@@ -134,7 +134,7 @@ class TestSanitizerCatchesBugs:
         m.quiesce()
         m.nodes[0].pmem[m.layout.dir_entry_addr(0x1000)] = 7  # no such state
         with pytest.raises(CoherenceViolation, match="illegal state"):
-            m.sanitizer.sweep(m.cycle)
+            m.sanitizer.sweep()
 
     def test_livelock_watchdog_fires_with_diagnosis(self):
         # One miss never completes while others keep completing: the

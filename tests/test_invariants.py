@@ -105,7 +105,7 @@ class TestForgedEntriesCaughtOnline:
         done = Completion(m)
         m.nodes[1].hierarchy.load(0x1000, False, done.cb("a"))
         m.quiesce()
-        m.sanitizer.sweep(m.cycle)  # clean so far
+        m.sanitizer.sweep()  # clean so far
         return m
 
     def test_busy_waiter_out_of_range(self):
@@ -114,7 +114,7 @@ class TestForgedEntriesCaughtOnline:
             d.BUSY_EXCLUSIVE, owner=1, waiter=5
         )
         with pytest.raises(CoherenceViolation, match="waiter 5") as exc:
-            m.sanitizer.sweep(m.cycle)
+            m.sanitizer.sweep()
         assert exc.value.code == "bad-directory"
 
     def test_xfer_debt_on_an_owned_entry(self):
@@ -123,7 +123,7 @@ class TestForgedEntriesCaughtOnline:
         m.nodes[0].pmem[addr] |= DEBT
         assert d.state_of(m.nodes[0].pmem[addr]) != d.UNOWNED
         with pytest.raises(CoherenceViolation, match="xfer-debt") as exc:
-            m.sanitizer.sweep(m.cycle)
+            m.sanitizer.sweep()
         assert exc.value.code == "bad-directory"
 
 
@@ -158,7 +158,7 @@ def _run_sanitizer(break_predicate):
     break_predicate()
     try:
         _traffic(m)
-        m.sanitizer.sweep(m.cycle)
+        m.sanitizer.sweep()
     except CoherenceViolation as exc:
         return exc.code
     assert m.sanitizer.report()["sweeps"] > 1

@@ -66,6 +66,12 @@ class TestProcessorParams:
         with pytest.raises(ConfigError):
             ProcessorParams(app_threads=3)
 
+    @pytest.mark.parametrize("lines", [0, -1])
+    def test_rejects_empty_bypass_buffer(self, lines):
+        # An empty buffer would fail only at the first bypass fill.
+        with pytest.raises(ConfigError, match="bypass_buffer_lines"):
+            ProcessorParams(bypass_buffer_lines=lines)
+
     def test_scaled_shrinks_caches_only(self):
         pp = ProcessorParams().scaled(32)
         assert pp.l2.size_bytes == 2 * 1024 * 1024 // 32

@@ -55,10 +55,10 @@ def test_index_equals_scan_at_every_sweep(monkeypatch, tmp_path, bundle):
     original = Sanitizer.sweep
     sweeps = []
 
-    def checked_sweep(self, cycle):
+    def checked_sweep(self):
         assert_index_matches_scan(self.machine)
-        sweeps.append(cycle)
-        original(self, cycle)
+        sweeps.append(self.machine.cycle)
+        original(self)
 
     monkeypatch.setattr(Sanitizer, "sweep", checked_sweep)
     for seed, model, sharing in VERIFY_CELLS:

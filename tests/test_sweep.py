@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -22,8 +23,10 @@ from repro.sim.sweep import (
     ResultLedger,
     SweepCell,
     code_version,
+    compare,
     make_grid,
     pool_map,
+    run_cell,
     run_sweep,
     write_bench_json,
 )
@@ -39,6 +42,27 @@ CHILD_ENV = {**os.environ,
 def fast_cell(app="water", model="smtp", **kw):
     kw = {**FAST, **kw}
     return SweepCell.make(app, model, **kw)
+
+
+def bump_app_compiler_version(monkeypatch):
+    """Make :func:`code_version` hash ``apps/compile.py`` as if its
+    ``APP_COMPILER_VERSION`` had been bumped: a bump is a source edit."""
+    from repro.apps import compile as acompile
+
+    source = Path(acompile.__file__).resolve()
+    line = f"APP_COMPILER_VERSION = {acompile.APP_COMPILER_VERSION}\n"
+    bumped = f"APP_COMPILER_VERSION = {acompile.APP_COMPILER_VERSION + 1}\n"
+    read_bytes = Path.read_bytes
+
+    def read_bumped(path):
+        data = read_bytes(path)
+        if path.resolve() == source:
+            assert line.encode() in data
+            data = data.replace(line.encode(), bumped.encode())
+        return data
+
+    monkeypatch.setattr(Path, "read_bytes", read_bumped)
+    monkeypatch.setattr(sweep_mod, "_CODE_VERSION", None)
 
 
 class TestCacheKey:
@@ -72,19 +96,15 @@ class TestCacheKey:
         int(v, 16)  # must be a hex digest prefix
 
     def test_app_execution_mode_changes_the_key(self, monkeypatch):
-        # Interpreter-mode rows carry interpreter-mode elapsed_s; the
-        # perf gate must never be fed those from a compiled-mode sweep
-        # (or vice versa).
+        # A reference-mode sweep must run the reference, never be
+        # served the fused path's cached rows (or vice versa).
         base = fast_cell().cache_key()
         monkeypatch.setenv("REPRO_APP_INTERP", "1")
         assert fast_cell().cache_key() != base
 
     def test_app_compiler_version_changes_the_key(self, monkeypatch):
-        from repro.apps import compile as acompile
-
         base = fast_cell().cache_key()
-        monkeypatch.setattr(acompile, "APP_COMPILER_VERSION",
-                            acompile.APP_COMPILER_VERSION + 1)
+        bump_app_compiler_version(monkeypatch)
         assert fast_cell().cache_key() != base
 
     def test_flag_order_is_canonical(self):
@@ -168,13 +188,10 @@ class TestResultCache:
             self, tmp_path, monkeypatch):
         # Regression: rows cached by an older app compiler must be
         # re-simulated, not served, after a version bump.
-        from repro.apps import compile as acompile
-
         cache = ResultCache(tmp_path)
         old_row = run_sweep([fast_cell()], jobs=0, cache=cache)[0]
         assert old_row.ok and not old_row.cached
-        monkeypatch.setattr(acompile, "APP_COMPILER_VERSION",
-                            acompile.APP_COMPILER_VERSION + 1)
+        bump_app_compiler_version(monkeypatch)
         bumped = run_sweep([fast_cell()], jobs=0, cache=cache)[0]
         assert not bumped.cached, "stale pre-bump cache row was served"
         assert bumped.stats == old_row.stats  # semantics didn't change
@@ -522,77 +539,82 @@ class TestSmokeGrid:
         assert all(r.ok for r in results)
 
 
-def _gate_fixture(elapsed_s, base_elapsed, base_ref=None):
-    """One fresh result + a baseline doc with one matching row."""
-    from repro.sim.sweep import gate_results
-
-    cell = fast_cell()
-    result = CellResult(cell, "ok", stats={"cycles": 1000},
-                        elapsed_s=elapsed_s)
-    row = result.to_dict()
-    row["elapsed_s"] = base_elapsed
-    doc = {"cells": [row]}
-    if base_ref is not None:
-        doc["reference_s"] = base_ref
-    return gate_results, [result], doc
+def _gate_docs(elapsed_s, base_elapsed, base_ref=None, fresh_ref=None):
+    """A fresh BENCH doc with one cell + a baseline doc with its row."""
+    row = CellResult(fast_cell(), "ok", stats={"cycles": 1000},
+                     elapsed_s=elapsed_s).to_dict()
+    fresh = {"cells": [row], "reference_s": fresh_ref}
+    base = {"cells": [dict(row, elapsed_s=base_elapsed)],
+            "reference_s": base_ref}
+    return base, fresh
 
 
 class TestGate:
     def test_regression_fails(self):
-        gate, results, doc = _gate_fixture(1.0, 0.5)
-        failures, lines = gate(results, doc)
+        failures, lines = compare(*_gate_docs(1.0, 0.5))
         assert failures == 1
         assert any("FAIL" in ln for ln in lines)
 
     def test_within_headroom_passes(self):
-        gate, results, doc = _gate_fixture(0.58, 0.5)
-        failures, _ = gate(results, doc)
+        failures, _ = compare(*_gate_docs(0.58, 0.5))
         assert failures == 0
 
     def test_speedup_passes(self):
-        gate, results, doc = _gate_fixture(0.2, 0.5)
-        failures, lines = gate(results, doc)
+        failures, lines = compare(*_gate_docs(0.2, 0.5))
         assert failures == 0
         assert any("0.40x" in ln for ln in lines)
 
     def test_absolute_slack_excuses_tiny_cells(self):
         # 30ms vs 20ms is 1.5x but only 10ms — under the 20ms slack.
-        gate, results, doc = _gate_fixture(0.030, 0.020)
-        failures, _ = gate(results, doc)
+        failures, _ = compare(*_gate_docs(0.030, 0.020))
         assert failures == 0
 
     def test_slower_box_is_normalized_not_failed(self):
         # 2x slower cell on a box whose calibration also reads 2x slow.
-        gate, results, doc = _gate_fixture(1.0, 0.5, base_ref=0.05)
-        failures, _ = gate(results, doc)  # no calibration: a real FAIL
+        base, fresh = _gate_docs(1.0, 0.5, base_ref=0.05)
+        failures, _ = compare(base, fresh)  # no calibration: a real FAIL
         assert failures == 1
-        failures, _ = gate(results, doc, reference_s=0.10)
+        fresh["reference_s"] = 0.10
+        failures, _ = compare(base, fresh)
         assert failures == 0
 
     def test_faster_box_never_tightens_the_gate(self):
         # Calibration says this box is 2x faster; an equal-time cell
         # must still pass (scale is clamped at 1.0).
-        gate, results, doc = _gate_fixture(0.5, 0.5, base_ref=0.10)
-        failures, _ = gate(results, doc, reference_s=0.05)
+        failures, _ = compare(*_gate_docs(0.5, 0.5, base_ref=0.10,
+                                          fresh_ref=0.05))
         assert failures == 0
 
     def test_cached_and_new_cells_never_fail(self):
-        from repro.sim.sweep import gate_results
-
         cell = fast_cell()
         cached = CellResult(cell, "ok", stats={"cycles": 1}, cached=True)
         novel = CellResult(fast_cell(app="fft"), "ok",
                            stats={"cycles": 1}, elapsed_s=9.9)
         row = CellResult(cell, "ok", stats={"cycles": 1},
                          elapsed_s=0.001).to_dict()
-        failures, lines = gate_results([cached, novel], {"cells": [row]})
+        failures, lines = compare(
+            {"cells": [row]},
+            {"cells": [cached.to_dict(), novel.to_dict()]},
+        )
         assert failures == 0
         assert any("SKIP" in ln for ln in lines)
         assert any("NEW" in ln for ln in lines)
 
     def test_best_of_records_minimum(self, monkeypatch):
-        from repro.sim.sweep import run_cell
+        # Fake the timed call: three runs that take 0.3, 0.1 and 0.2 s.
+        from repro.sim import driver
 
-        monkeypatch.setenv("REPRO_BENCH_BEST_OF", "3")
-        r = run_cell(fast_cell(app="water", model="base"))
-        assert r.ok and r.elapsed_s > 0
+        clock = [0.0]
+        took = iter([0.3, 0.1, 0.2])
+
+        def fake_run_app(*args, **kwargs):
+            clock[0] += next(took)
+            return None
+
+        monkeypatch.setattr(driver, "run_app", fake_run_app)
+        monkeypatch.setattr(sweep_mod, "time", types.SimpleNamespace(
+            process_time=lambda: clock[0]))
+        monkeypatch.setattr(sweep_mod, "warm_start", lambda cell: 0.0)
+        monkeypatch.setattr(sweep_mod, "summarize_stats", lambda st: {})
+        r = run_cell(fast_cell(app="water", model="base"), best_of=3)
+        assert r.ok and r.elapsed_s == pytest.approx(0.1)
