@@ -61,10 +61,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from pathlib import Path
 
+    from repro.sim.pool import ResultStore
     from repro.sim.sweep import (
         GATE_BEST_OF,
         NAMED_GRIDS,
-        ResultCache,
         compare,
         make_grid,
         measure_reference_s,
@@ -118,7 +118,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     try:
-        cache = ResultCache(args.cache_dir, refresh=args.refresh)
+        cache = ResultStore(args.cache_dir, refresh=args.refresh)
     except ConfigError as exc:
         print(f"error: --cache-dir: {exc}", file=sys.stderr)
         return 2
@@ -328,9 +328,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     ledger = None
     if args.ledger:
-        from repro.sim.sweep import ResultLedger
+        from repro.sim.pool import ResultStore
 
-        ledger = ResultLedger(args.ledger)
+        try:
+            ledger = ResultStore(args.ledger)
+        except ConfigError as exc:
+            print(f"error: --ledger: {exc}", file=sys.stderr)
+            return 2
     t0 = time.perf_counter()
     results = run_campaign(
         cells,

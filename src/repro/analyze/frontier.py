@@ -10,21 +10,26 @@ of the canonical state, and advances the search **wave by wave**
    pickled list of BFS entries ``(state, trace, σ, λ)`` — the same
    canonical-frame bookkeeping the in-memory search uses, so
    counterexample traces stay concrete.
-2. Every shard is expanded by a ``sim.sweep.pool_map`` worker
-   (:func:`_expand_shard`), which writes its successors bucketed by
-   target shard to ``out_%04d/from*_to*.pkl`` and returns only
-   JSON-safe statistics.  Workers are wrapped in a
-   :class:`repro.sim.sweep.ResultLedger`, so a killed run replays
-   finished shards instantly on restart — the same machinery fuzz
+2. Every shard is expanded by a :func:`repro.sim.pool.pool_map`
+   worker (:func:`_expand_shard`), which writes its successors
+   bucketed by target shard to ``out_%04d/from*_to*.pkl`` and returns
+   only JSON-safe statistics.  Each finished expansion is recorded in
+   a per-wave :class:`repro.sim.pool.ResultStore`, so a killed run
+   replays finished shards instantly on restart — the same store fuzz
    campaigns use (``repro fuzz --ledger``).
 3. The coordinator merges the buckets per target shard against the
    cumulative per-shard visited-digest snapshots
    (``visited_%03d.wave_%04d.pkl``), writes wave ``k+1``, and only
    then bumps ``meta.json`` — the single commit point.  Every file is
-   written to a temp name and ``os.replace``\\ d, and per-wave worker
-   statistics fold into the meta exactly once (at the bump), so a
-   kill at any instant resumes without losing or double-counting
+   written whole (:func:`repro.sim.pool.write_atomic`), and per-wave
+   worker statistics fold into the meta exactly once (at the bump),
+   so a kill at any instant resumes without losing or double-counting
    states.
+
+``meta.json`` records the run's configuration, including the code
+version and a digest of the handler table under check: a directory
+written by other sources or for another table is refused, never
+resumed.
 
 Visited states are deduplicated by 128-bit BLAKE2 digests of the
 canonical state key rather than the states themselves; at the state
@@ -37,13 +42,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import shutil
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigError
+from repro.sim import pool
 
 from repro.analyze import symmetry as sym
 from repro.analyze.model import (
@@ -77,10 +82,11 @@ def _shard_of(digest: bytes, n_shards: int) -> int:
     return int.from_bytes(digest[:4], "big") % n_shards
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+def _table_digest(table) -> str:
+    """Digest of a handler table's placed programs (names, PCs and
+    instructions) — what the mirror executes."""
+    blob = repr(list(table.by_name.values())).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _wave_dir(root: Path, wave: int) -> Path:
@@ -106,7 +112,7 @@ def _expand_shard(payload: Dict[str, object]) -> Dict[str, object]:
     Writes successor buckets to the out directory (atomically) and
     returns JSON-safe statistics — violations as plain dicts, states
     only inside the pickled bucket files.  Must stay idempotent: the
-    ledger replays recorded outcomes without re-running us, so
+    store replays recorded outcomes without re-running us, so
     everything we do besides the return value lands in files keyed by
     (wave, source shard) that a redo would simply rewrite.
     """
@@ -149,11 +155,12 @@ def _expand_shard(payload: Dict[str, object]) -> Dict[str, object]:
     for dg, item in found.items():
         buckets.setdefault(_shard_of(dg, n_shards), {})[dg] = item
     for target, bucket in buckets.items():
-        _write_atomic(
+        pool.write_atomic(
             out_dir / f"from{src:03d}_to{target:03d}.pkl",
             pickle.dumps(bucket, protocol=pickle.HIGHEST_PROTOCOL),
         )
     return {
+        "status": "ok",
         "transitions": transitions,
         "pruned": pruned,
         "max_depth": max_depth,
@@ -220,16 +227,17 @@ def explore_disk(
     """Run the reduced BFS with the frontier sharded on disk.
 
     ``frontier_dir`` is created if missing; if it already holds a run
-    with the *same* configuration the search resumes from its last
-    committed wave (a finished run just returns its recorded result).
-    A different configuration in the same directory is a
-    ``ConfigError`` — deep runs are precious, never clobber one.
+    with the *same* configuration — code version and handler table
+    included — the search resumes from its last committed wave (a
+    finished run just returns its recorded result).  A different
+    configuration in the same directory is a ``ConfigError`` — deep
+    runs are precious, never clobber one.
     """
-    from repro.sim.sweep import ResultLedger, pool_map
-
     root = Path(frontier_dir)
     root.mkdir(parents=True, exist_ok=True)
     config = {
+        "code": pool.code_version(),
+        "table": _table_digest(table),
         "n_nodes": len(init.nodes),
         "n_lines": len(init.entries),
         "loads": init.nodes[0].loads,
@@ -258,11 +266,11 @@ def explore_disk(
         shard = _shard_of(dg, n_shards)
         wave0 = _wave_dir(root, 0)
         wave0.mkdir(exist_ok=True)
-        _write_atomic(
+        pool.write_atomic(
             wave0 / f"shard_{shard:03d}.pkl",
             pickle.dumps([entry], protocol=pickle.HIGHEST_PROTOCOL),
         )
-        _write_atomic(
+        pool.write_atomic(
             _visited_path(root, shard, 0),
             pickle.dumps({dg}, protocol=pickle.HIGHEST_PROTOCOL),
         )
@@ -275,7 +283,7 @@ def explore_disk(
                 "pruned": 0, "max_depth": 0, "truncated": False,
             },
         }
-        _write_atomic(meta_path, json.dumps(meta, indent=1).encode())
+        pool.write_atomic(meta_path, json.dumps(meta, indent=1).encode())
 
     while True:
         wave = int(meta["wave"])
@@ -285,14 +293,20 @@ def explore_disk(
         shards = sorted(wave_dir.glob("shard_*.pkl")) if wave_dir.is_dir() else []
         if not shards:
             meta["done"] = True
-            _write_atomic(meta_path, json.dumps(meta, indent=1).encode())
+            pool.write_atomic(meta_path, json.dumps(meta, indent=1).encode())
             return _result_from_meta(meta)
 
         out_dir = _out_dir(root, wave)
+        store = pool.ResultStore(root / "ledger" / f"wave_{wave:04d}")
+        outcomes: Dict[int, Dict[str, object]] = {}
         pending = []
         for path in shards:
             idx = int(path.stem.split("_")[1])
-            pending.append(((wave, idx), {
+            recorded = store.get(f"shard_{idx:03d}")
+            if recorded is not None:
+                outcomes[idx] = recorded
+                continue
+            pending.append((idx, {
                 "shard": str(path),
                 "shard_index": idx,
                 "out_dir": str(out_dir),
@@ -304,23 +318,21 @@ def explore_disk(
                 "reduce_por": reduce_por,
                 "bundle": bundle,
             }))
-        outcomes: Dict[Tuple[int, int], Dict[str, object]] = {}
 
-        def on_done(ident, payload, outcome, elapsed, attempts) -> None:
-            outcomes[ident] = outcome or {"_pool_status": "crashed"}
+        def on_done(idx, payload, outcome, elapsed, attempts) -> None:
+            if outcome["status"] == "ok":
+                store.put(f"shard_{idx:03d}", outcome)
+            outcomes[idx] = outcome
 
-        pool_map(
-            pending, _expand_shard, jobs=jobs, on_done=on_done,
-            ledger=ResultLedger(root / "ledger" / f"wave_{wave:04d}"),
-        )
+        pool.pool_map(pending, _expand_shard, jobs=jobs, on_done=on_done)
 
         violations: List[Dict[str, object]] = []
         # In shard order, so ties between equally short violations
         # do not depend on which worker finished first.
         for _, outcome in sorted(outcomes.items()):
-            if outcome.get("_pool_status"):
+            if outcome["status"] != "ok":
                 raise ConfigError(
-                    f"frontier worker failed: {outcome['_pool_status']}"
+                    f"frontier worker failed: {outcome['error']}"
                 )
             stats["transitions"] = (
                 int(stats["transitions"]) + int(outcome["transitions"])
@@ -339,7 +351,7 @@ def explore_disk(
             meta["stats"] = stats
             meta["violation"] = best
             meta["done"] = True
-            _write_atomic(meta_path, json.dumps(meta, indent=1).encode())
+            pool.write_atomic(meta_path, json.dumps(meta, indent=1).encode())
             return _result_from_meta(meta)
 
         # Merge: dedupe each target bucket against its cumulative
@@ -368,14 +380,14 @@ def explore_disk(
                 visited.add(dg)
                 kept.append((st, trace, sig, lam))
             if kept:
-                _write_atomic(
+                pool.write_atomic(
                     next_dir / f"shard_{target:03d}.pkl",
                     pickle.dumps(kept, protocol=pickle.HIGHEST_PROTOCOL),
                 )
-            _write_atomic(
+            pool.write_atomic(
                 _visited_path(root, target, wave + 1),
                 pickle.dumps(visited, protocol=pickle.HIGHEST_PROTOCOL),
             )
         meta["wave"] = wave + 1
         meta["stats"] = stats
-        _write_atomic(meta_path, json.dumps(meta, indent=1).encode())
+        pool.write_atomic(meta_path, json.dumps(meta, indent=1).encode())

@@ -27,8 +27,8 @@ DESIGN.md, "Reduction theory", and :mod:`repro.analyze.symmetry`):
 The search runs in one process (:func:`_bfs`).  Deep configurations
 run against a disk-backed frontier instead
 (:mod:`repro.analyze.frontier`), the one parallel explorer: sharded
-over ``sim.sweep.pool_map`` workers, kill-resumable through the sweep
-result ledger, with the same exact counts.
+over :func:`repro.sim.pool.pool_map` workers, kill-resumable through
+the shared result store, with the same exact counts.
 
 Invariants: the :mod:`repro.protocol.invariants` predicates, the same
 ones the sanitizer evaluates on the full simulator — ``check_entry``

@@ -12,7 +12,6 @@ the machine and replays the ops; tests and humans can do the same via
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -94,6 +93,8 @@ def write_artifact(
     shrunk_ops: Optional[List[FuzzOp]] = None,
 ) -> Path:
     """Atomically write one failure artifact; returns its path."""
+    from repro.sim.pool import write_atomic
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -111,9 +112,7 @@ def write_artifact(
         "snapshot": snapshot,
         "trace_tail": trace,
     }
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(doc, indent=1, sort_keys=True))
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(doc, indent=1, sort_keys=True).encode())
     return path
 
 

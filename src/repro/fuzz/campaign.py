@@ -6,7 +6,7 @@ a fresh sanitized machine; on failure it writes a replayable artifact
 and greedily shrinks the op list to a minimal reproducer.
 
 A *campaign* fans many cells across the same worker pool the sweep
-runner uses (:func:`repro.sim.sweep.pool_map`) and summarizes the
+runner uses (:func:`repro.sim.pool.pool_map`) and summarizes the
 results; ``python -m repro fuzz`` is the CLI face.
 """
 
@@ -185,6 +185,23 @@ class FuzzResult:
     def ok(self) -> bool:
         return self.status == "ok"
 
+    @classmethod
+    def from_outcome(cls, cell: FuzzCell,
+                     outcome: Dict[str, object]) -> "FuzzResult":
+        """Rebuild a row from its :meth:`to_dict` fields, or from a
+        pool failure (which carries only status and error)."""
+        return cls(
+            cell,
+            outcome["status"],
+            error=outcome["error"],
+            error_type=outcome["error_type"],
+            n_ops=outcome.get("n_ops", 0),
+            shrunk_to=outcome.get("shrunk_to"),
+            cycles=outcome.get("cycles", 0),
+            elapsed_s=outcome["elapsed_s"],
+            artifact=outcome.get("artifact", ""),
+        )
+
     def to_dict(self) -> Dict[str, object]:
         d = self.cell.to_dict()
         d.update(
@@ -302,10 +319,10 @@ def _warm_start(protocol: str) -> None:
     _WARMED_BUNDLES.add(protocol)
 
 
-def _cell_payload(payload: Tuple[Dict[str, object], str, bool, int]) -> Dict[str, object]:
-    """Worker-side entry: rebuild the cell, run it, ship a dict back."""
-    cell_dict, out_dir, shrink, shrink_budget = payload
-    cell = FuzzCell.from_dict(cell_dict)
+def _cell_payload(payload: Tuple[FuzzCell, str, bool, int]) -> Dict[str, object]:
+    """Worker-side entry for :func:`run_campaign`: run one cell, ship
+    its row back as a dict."""
+    cell, out_dir, shrink, shrink_budget = payload
     _warm_start(cell.protocol)
     result = run_fuzz_cell(
         cell, out_dir=out_dir, shrink=shrink, shrink_budget=shrink_budget
@@ -313,27 +330,16 @@ def _cell_payload(payload: Tuple[Dict[str, object], str, bool, int]) -> Dict[str
     return result.to_dict()
 
 
-def _cell_ident(cell: FuzzCell) -> str:
-    """Stable identity of a cell for the durability ledger."""
+def _cell_key(cell: FuzzCell) -> str:
+    """Store key of a cell's outcome: the cell and the code that ran it."""
     import hashlib
     import json
 
-    blob = json.dumps(cell.to_dict(), sort_keys=True, default=repr)
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    from repro.sim.pool import code_version
 
-
-def _result_from_outcome(cell: FuzzCell, outcome: Dict[str, object]) -> FuzzResult:
-    return FuzzResult(
-        cell,
-        outcome["status"],
-        error=outcome["error"],
-        error_type=outcome["error_type"],
-        n_ops=outcome["n_ops"],
-        shrunk_to=outcome["shrunk_to"],
-        cycles=outcome["cycles"],
-        elapsed_s=outcome["elapsed_s"],
-        artifact=outcome["artifact"],
-    )
+    blob = json.dumps({"cell": cell.to_dict(), "code": code_version()},
+                      sort_keys=True, default=repr)
+    return hashlib.sha256(blob.encode()).hexdigest()[:32]
 
 
 def run_campaign(
@@ -348,76 +354,48 @@ def run_campaign(
 ) -> List[FuzzResult]:
     """Run every cell, ``jobs`` at a time (0 = inline), in input order.
 
-    ``ledger`` (a :class:`repro.sim.sweep.ResultLedger`) makes the
-    campaign durable: finished cells recorded there are replayed
-    instead of re-fuzzed, so a killed campaign resumes where it died
-    (``python -m repro fuzz --ledger DIR``).
+    ``ledger`` (a :class:`repro.sim.pool.ResultStore`) makes the
+    campaign durable: every cell that finished — crashes and timeouts
+    aside — is recorded there under its cell and the code version, and
+    replayed instead of re-fuzzed, so a killed campaign resumes where
+    it died (``python -m repro fuzz --ledger DIR``).
     """
+    from repro.sim.pool import UNFINISHED, pool_map
+
     note = progress or (lambda msg: None)
     results: Dict[int, FuzzResult] = {}
-    done = [0]
 
     def finish(idx: int, result: FuzzResult) -> None:
         results[idx] = result
-        done[0] += 1
-        tag = result.status
         extra = ""
         if result.shrunk_to is not None:
             extra = f" shrunk {result.n_ops}->{result.shrunk_to}"
         if result.artifact:
             extra += f" artifact={result.artifact}"
         note(
-            f"[{done[0]}/{len(cells)}] {result.cell.label}: {tag} "
-            f"({result.elapsed_s:.2f}s){extra}"
+            f"[{len(results)}/{len(cells)}] {result.cell.label}: "
+            f"{result.status} ({result.elapsed_s:.2f}s){extra}"
         )
 
-    if jobs <= 0:
-        for idx, cell in enumerate(cells):
-            ident = (idx, _cell_ident(cell))
-            outcome = ledger.get(ident) if ledger is not None else None
-            if outcome is not None:
-                finish(idx, _result_from_outcome(cell, outcome))
-                continue
-            result = run_fuzz_cell(
-                cell, out_dir=out_dir, shrink=shrink,
-                shrink_budget=shrink_budget,
-            )
-            if ledger is not None:
-                ledger.put(ident, result.to_dict())
-            finish(idx, result)
-    else:
-        from repro.sim.sweep import pool_map
+    pending = []
+    for idx, cell in enumerate(cells):
+        key = _cell_key(cell)
+        outcome = ledger.get(key) if ledger is not None else None
+        if outcome is not None:
+            finish(idx, FuzzResult.from_outcome(cell, outcome))
+        else:
+            pending.append(((idx, key), (cell, str(out_dir), shrink,
+                                         shrink_budget)))
 
-        pending = [
-            ((idx, _cell_ident(cell)),
-             (cell.to_dict(), str(out_dir), shrink, shrink_budget))
-            for idx, cell in enumerate(cells)
-        ]
+    def on_done(ident, payload, outcome, elapsed, attempts) -> None:
+        idx, key = ident
+        if ledger is not None and outcome["status"] not in UNFINISHED:
+            ledger.put(key, outcome)
+        finish(idx, FuzzResult.from_outcome(
+            payload[0], {"elapsed_s": elapsed, **outcome}))
 
-        def on_done(ident, payload, outcome, elapsed, attempts):
-            idx = ident[0]
-            cell = FuzzCell.from_dict(payload[0])
-            if outcome.get("_pool_status") == "crashed":
-                finish(idx, FuzzResult(
-                    cell, "crashed",
-                    error=(
-                        f"worker exited with code {outcome.get('exitcode')} "
-                        "and no result"
-                    ),
-                    error_type="WorkerCrash", elapsed_s=elapsed,
-                ))
-            elif outcome.get("_pool_status") == "timeout":
-                finish(idx, FuzzResult(
-                    cell, "timeout",
-                    error=f"cell exceeded {timeout:g}s wall clock",
-                    error_type="FuzzTimeout", elapsed_s=elapsed,
-                ))
-            else:
-                finish(idx, _result_from_outcome(cell, outcome))
-
-        pool_map(pending, _cell_payload, jobs=jobs, timeout=timeout,
-                 retries=0, on_done=on_done, ledger=ledger)
-
+    pool_map(pending, _cell_payload, jobs=jobs, timeout=timeout,
+             on_done=on_done)
     return [results[idx] for idx in range(len(cells))]
 
 
@@ -431,10 +409,9 @@ def write_fuzz_json(
     """Write ``FUZZ_<name>.json``: the campaign's machine-readable record
     (one row per cell plus the summary), sibling to ``BENCH_*.json``."""
     import json
-    import os
     import time as _time
 
-    from repro.sim.sweep import code_version
+    from repro.sim.pool import code_version, write_atomic
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -449,9 +426,7 @@ def write_fuzz_json(
         **summarize_campaign(results),
         "cells": [r.to_dict() for r in results],
     }
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(doc, indent=1, sort_keys=True))
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(doc, indent=1, sort_keys=True).encode())
     return path
 
 

@@ -2,8 +2,9 @@
 
 Every paper table/figure is a grid of fully independent simulations:
 (model, app, n_nodes, ways, freq, preset) cells that share nothing but
-code.  This module fans such grids out across a ``multiprocessing``
-worker pool and memoizes each cell on disk, so
+code.  This module fans such grids out with
+:func:`repro.sim.pool.pool_map` and memoizes each cell in a
+:class:`repro.sim.pool.ResultStore`, so
 
 * a re-run of any grid only simulates cells whose inputs changed,
 * a sweep that died half-way resumes from the completed cells,
@@ -13,9 +14,9 @@ worker pool and memoizes each cell on disk, so
 Cache keys are content hashes over everything that determines a cell's
 statistics: the fully-resolved :class:`~repro.common.params.MachineParams`
 (so *any* model knob invalidates), the workload's preset sizes, the
-cycle budget, and a version hash of the ``repro`` package sources (so a
-simulator change invalidates every cell).  See ``benchmarks/README.md``
-for the operational view.
+cycle budget, and :func:`~repro.sim.pool.code_version`, a hash of the
+``repro`` package sources (so a simulator change invalidates every
+cell).  See ``benchmarks/README.md`` for the operational view.
 
 Entry points:
 
@@ -23,17 +24,11 @@ Entry points:
 * :func:`make_grid` / :data:`NAMED_GRIDS` — build cell lists; the
   named grids include one per paper experiment, each with its table
   renderer.
-* :class:`ResultCache` — the on-disk cell store.
 * :func:`write_bench_json` — emit a machine-readable ``BENCH_*.json``
   trajectory file for a finished sweep.
 * :func:`compare` — the perf-gate rule: hold a fresh ``BENCH_*.json``
   document against a committed one (``repro sweep --gate``,
   ``tools/perf_delta.py``).
-* :func:`pool_map` — the underlying generic worker pool (one
-  terminate-able subprocess per in-flight item); also drives
-  :func:`repro.fuzz.campaign.run_campaign`.
-* :class:`ResultLedger` — ``pool_map``'s durable completed-item store
-  (``repro fuzz --ledger``, the model checker's disk frontier).
 
 ``python -m repro sweep`` wraps all of this on the command line.
 """
@@ -44,7 +39,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import multiprocessing
 import os
 import statistics
 import time
@@ -54,38 +48,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import SimulationError
 from repro.core.models import MODELS
+from repro.sim.pool import ResultStore, code_version, pool_map, write_atomic
 
 #: Bump when the result-record layout changes (invalidates every cell).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DEFAULT_MAX_CYCLES = 30_000_000
-
-# ----------------------------------------------------------------------
-# Code version: a stable hash of the simulator sources.
-# ----------------------------------------------------------------------
-
-_CODE_VERSION: Optional[str] = None
-
-
-def code_version() -> str:
-    """Hash of every ``repro`` source file (computed once per process).
-
-    Included in every cache key so a simulator change — however small —
-    invalidates all cached cells; stale results can never leak across
-    commits.
-    """
-    global _CODE_VERSION
-    if _CODE_VERSION is None:
-        import repro
-
-        root = Path(repro.__file__).parent
-        h = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            h.update(str(path.relative_to(root)).encode())
-            h.update(path.read_bytes())
-        _CODE_VERSION = h.hexdigest()[:16]
-    return _CODE_VERSION
-
 
 # ----------------------------------------------------------------------
 # Cells and result rows
@@ -249,73 +217,6 @@ class CellResult:
 
 
 # ----------------------------------------------------------------------
-# On-disk cache
-# ----------------------------------------------------------------------
-
-
-class ResultCache:
-    """One JSON file per cell, named by the cell's cache key.
-
-    Only successful runs are stored — failures and timeouts are always
-    re-attempted on the next sweep.  ``refresh=True`` ignores results
-    from previous processes but still reuses (and rewrites) cells
-    computed under this cache object, so a refreshed suite stays
-    incremental within itself.
-    """
-
-    def __init__(self, root, refresh: bool = False) -> None:
-        self.root = Path(root)
-        self.refresh = refresh
-        self._written: set = set()
-        # Validate eagerly so a bad --cache-dir fails up front with the
-        # offending path, not mid-sweep on the first put().
-        from repro.common.errors import ConfigError
-
-        if self.root.exists() and not self.root.is_dir():
-            raise ConfigError(
-                f"cache directory {self.root} exists but is not a directory"
-            )
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(
-                f"cannot create cache directory {self.root}: {exc}"
-            ) from exc
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def get(self, key: str) -> Optional[Dict[str, object]]:
-        if self.refresh and key not in self._written:
-            return None
-        path = self._path(key)
-        try:
-            record = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        return record.get("stats")
-
-    def put(self, key: str, result: CellResult) -> None:
-        if not result.ok:
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        record = {
-            "schema": SCHEMA_VERSION,
-            "cell": result.cell.to_dict(),
-            "stats": result.stats,
-            "elapsed_s": round(result.elapsed_s, 3),
-        }
-        # A temp name per writer process: two sweeps sharing a cache
-        # dir and a cell each replace the final file whole and never
-        # clobber the other's half-written temp.
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(record, sort_keys=True))
-        os.replace(tmp, path)
-        self._written.add(key)
-
-
-# ----------------------------------------------------------------------
 # Cell execution
 # ----------------------------------------------------------------------
 
@@ -421,162 +322,6 @@ def _sweep_entry(cell: SweepCell, best_of: int) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# The generic worker pool
-# ----------------------------------------------------------------------
-
-
-def _pool_worker(conn, fn, payload) -> None:
-    """Subprocess entry: run ``fn(payload)``, ship the result back.
-
-    If ``fn`` raises, the pipe closes without a result and the parent
-    records the item as crashed (and retries it, if allowed).
-    """
-    try:
-        conn.send(fn(payload))
-    finally:
-        conn.close()
-
-
-class ResultLedger:
-    """Durable completed-item store for :func:`pool_map`.
-
-    One JSON file per finished item, keyed by a hash of the item's
-    identity.  ``pool_map`` consults the ledger before spawning a
-    worker and records every ``fn`` outcome after, so a killed
-    campaign replays finished items instantly on restart and only
-    re-runs the interrupted ones.  Timeouts and crashes are never
-    recorded — they stay retryable.
-    """
-
-    def __init__(self, root) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, ident: object) -> Path:
-        digest = hashlib.sha256(repr(ident).encode()).hexdigest()[:32]
-        return self.root / f"{digest}.json"
-
-    def get(self, ident: object) -> Optional[Dict]:
-        try:
-            return json.loads(self._path(ident).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-
-    def put(self, ident: object, outcome: Dict) -> None:
-        path = self._path(ident)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(outcome, sort_keys=True))
-        os.replace(tmp, path)
-
-
-def pool_map(
-    pending: Sequence[Tuple[object, object]],
-    fn: Callable[[object], Dict[str, object]],
-    jobs: int,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    on_done: Optional[
-        Callable[[object, object, Optional[Dict[str, object]], float, int], None]
-    ] = None,
-    ledger=None,
-) -> None:
-    """Fan ``(ident, payload)`` items over one subprocess per in-flight
-    item, calling ``fn(payload)`` in the child.
-
-    One process per item (not a long-lived pool) so an overdue or
-    wedged simulation can be ``terminate()``-d without poisoning other
-    items' workers.  Item runtimes are seconds-to-minutes, so the spawn
-    cost is noise.  ``fn`` must be a picklable module-level function
-    (or a ``functools.partial`` of one) returning a picklable dict
-    without a ``"_pool_status"`` key.
-
-    ``on_done(ident, payload, outcome, elapsed_s, attempts)`` fires once
-    per item, in completion order.  ``outcome`` is the dict ``fn``
-    returned, or ``{"_pool_status": "timeout"}`` for an item that
-    exceeded ``timeout`` wall-clock seconds, or ``{"_pool_status":
-    "crashed", "exitcode": ...}`` for a worker that died with no
-    result.  Timeouts and crashes are retried up to ``retries`` extra
-    attempts before being reported; ``fn`` results never are.
-
-    ``ledger`` (a :class:`ResultLedger`) makes the map
-    durable across process restarts: items the ledger already holds
-    are replayed to ``on_done`` (with ``attempts=0``) without spawning
-    a worker, and every fresh ``fn`` outcome is recorded.  Timeouts
-    and crashes are never recorded, so they stay retryable on the next
-    invocation.
-    """
-    note_done = on_done or (lambda *a: None)
-    ctx = multiprocessing.get_context()
-    queue: List[Tuple[object, object, int]] = []
-    for ident, payload in pending:
-        outcome = ledger.get(ident) if ledger is not None else None
-        if outcome is not None:
-            note_done(ident, payload, outcome, 0.0, 0)
-        else:
-            queue.append((ident, payload, 1))
-    running: Dict[object, Tuple[object, object, object, float, int]] = {}
-
-    def harvest(proc, ident, payload, conn, start, attempt) -> None:
-        elapsed = time.perf_counter() - start
-        if conn.poll():
-            msg = conn.recv()
-            proc.join()
-            conn.close()
-            if ledger is not None:
-                ledger.put(ident, msg)
-            note_done(ident, payload, msg, elapsed, attempt)
-            return
-        # No result: the worker crashed or was killed.
-        proc.join()
-        conn.close()
-        if attempt <= retries:
-            queue.append((ident, payload, attempt + 1))
-            return
-        note_done(
-            ident,
-            payload,
-            {"_pool_status": "crashed", "exitcode": proc.exitcode},
-            elapsed,
-            attempt,
-        )
-
-    while queue or running:
-        while queue and len(running) < jobs:
-            ident, payload, attempt = queue.pop(0)
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_pool_worker, args=(child_conn, fn, payload))
-            proc.start()
-            child_conn.close()
-            running[proc] = (ident, payload, parent_conn, time.perf_counter(), attempt)
-
-        now = time.perf_counter()
-        finished = []
-        overdue = []
-        for proc, (ident, payload, conn, start, attempt) in running.items():
-            if conn.poll() or not proc.is_alive():
-                finished.append(proc)
-            elif timeout is not None and now - start > timeout:
-                overdue.append(proc)
-        for proc in overdue:
-            ident, payload, conn, start, attempt = running.pop(proc)
-            proc.terminate()
-            proc.join()
-            conn.close()
-            if attempt <= retries:
-                queue.append((ident, payload, attempt + 1))
-            else:
-                note_done(
-                    ident, payload, {"_pool_status": "timeout"},
-                    now - start, attempt,
-                )
-        for proc in finished:
-            ident, payload, conn, start, attempt = running.pop(proc)
-            harvest(proc, ident, payload, conn, start, attempt)
-        if running and not finished and not overdue:
-            time.sleep(0.02)
-
-
-# ----------------------------------------------------------------------
 # The sweep scheduler
 # ----------------------------------------------------------------------
 
@@ -584,7 +329,7 @@ def pool_map(
 def run_sweep(
     cells: Sequence[SweepCell],
     jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
+    cache: Optional[ResultStore] = None,
     timeout: Optional[float] = None,
     retries: int = 0,
     progress: Optional[Callable[[str], None]] = None,
@@ -597,6 +342,11 @@ def run_sweep(
         Worker processes.  ``0`` runs inline in the current process
         (deterministic single-process mode; ``timeout`` is not
         enforced inline).  ``None`` uses ``os.cpu_count()``.
+    ``cache``
+        Cells found there under their :meth:`SweepCell.cache_key` are
+        served without simulating; every ``ok`` cell is recorded.
+        Failures, timeouts and crashes are never recorded, so the next
+        sweep re-attempts them.
     ``timeout``
         Wall-clock seconds per cell attempt; an overdue worker is
         terminated and the cell recorded as ``"timeout"``.
@@ -620,80 +370,53 @@ def run_sweep(
 
     note = progress or (lambda msg: None)
     total = len(unique)
-    done = 0
     miss_elapsed: List[float] = []
 
     def finish(key: str, result: CellResult) -> None:
-        nonlocal done
         results[key] = result
-        done += 1
-        if cache is not None and not result.cached:
-            cache.put(key, result)
         if not result.cached:
             miss_elapsed.append(result.elapsed_s)
         eta = ""
-        if miss_elapsed and done < total:
+        if miss_elapsed and len(results) < total:
             per_cell = sum(miss_elapsed) / len(miss_elapsed)
-            remaining = per_cell * (total - done) / max(1, jobs or 1)
+            remaining = per_cell * (total - len(results)) / max(1, jobs)
             eta = f"  eta ~{remaining:.0f}s"
         tag = "cached" if result.cached else result.status
         note(
-            f"[{done}/{total}] {result.cell.label}: {tag}"
+            f"[{len(results)}/{total}] {result.cell.label}: {tag}"
             f" ({result.elapsed_s:.2f}s){eta}"
         )
 
-    # Cache pass.
     pending: List[Tuple[str, SweepCell]] = []
     for key, cell in unique.items():
-        stats = cache.get(key) if cache is not None else None
-        if stats is not None:
-            finish(key, CellResult(cell, "ok", stats=stats, cached=True))
+        record = cache.get(key) if cache is not None else None
+        if record is not None:
+            finish(key, CellResult(cell, "ok", stats=record["stats"],
+                                   cached=True))
         else:
             pending.append((key, cell))
 
-    if jobs <= 0:
-        for key, cell in pending:
-            finish(key, run_cell(cell, best_of))
-    elif pending:
+    def on_done(key, cell, outcome, elapsed, attempts) -> None:
+        result = CellResult(
+            cell,
+            outcome["status"],
+            stats=outcome.get("stats"),
+            error=outcome["error"],
+            error_type=outcome["error_type"],
+            elapsed_s=outcome.get("elapsed_s", elapsed),
+            compile_s=outcome.get("compile_s", 0.0),
+            attempts=attempts,
+        )
+        if cache is not None and result.ok:
+            cache.put(key, {
+                "cell": cell.to_dict(),
+                "stats": result.stats,
+                "elapsed_s": round(result.elapsed_s, 3),
+            })
+        finish(key, result)
 
-        def on_done(key, cell, outcome, elapsed, attempts):
-            status = outcome.get("_pool_status")
-            if status == "crashed":
-                finish(key, CellResult(
-                    cell,
-                    "crashed",
-                    error=(
-                        f"worker exited with code {outcome.get('exitcode')} "
-                        "and no result"
-                    ),
-                    error_type="WorkerCrash",
-                    elapsed_s=elapsed,
-                    attempts=attempts,
-                ))
-            elif status == "timeout":
-                finish(key, CellResult(
-                    cell,
-                    "timeout",
-                    error=f"cell exceeded {timeout:g}s wall clock",
-                    error_type="SweepTimeout",
-                    elapsed_s=elapsed,
-                    attempts=attempts,
-                ))
-            else:
-                finish(key, CellResult(
-                    cell,
-                    outcome["status"],
-                    stats=outcome["stats"],
-                    error=outcome["error"],
-                    error_type=outcome["error_type"],
-                    elapsed_s=outcome["elapsed_s"],
-                    compile_s=outcome.get("compile_s", 0.0),
-                    attempts=attempts,
-                ))
-
-        entry = functools.partial(_sweep_entry, best_of=best_of)
-        pool_map(pending, entry, jobs=jobs, timeout=timeout,
-                 retries=retries, on_done=on_done)
+    pool_map(pending, functools.partial(_sweep_entry, best_of=best_of),
+             jobs=jobs, timeout=timeout, retries=retries, on_done=on_done)
 
     wall = time.perf_counter() - t0
     note(
@@ -1286,7 +1009,5 @@ def write_bench_json(
         block = (baseline or {}).get(key)
         if block is not None:
             doc[key] = block
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(doc, indent=1, sort_keys=True))
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(doc, indent=1, sort_keys=True).encode())
     return path

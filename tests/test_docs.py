@@ -94,21 +94,21 @@ def test_dead_module_paths_are_flagged(tmp_path):
     modules, classes and methods pass, and prose outside a role in a
     source file is not read."""
     assert check_docs.resolves("repro.sim.sweep")
-    assert check_docs.resolves("repro.sim.sweep.ResultLedger.put")
+    assert check_docs.resolves("repro.sim.pool.ResultStore.put")
     assert not check_docs.resolves("repro.sim.no_such_module")
     assert not check_docs.resolves("repro.sim.sweep.NoSuchClass")
     assert not check_docs.resolves("repro.core.machine.Machine.no_such_method")
 
     (tmp_path / "docs").mkdir()
     (tmp_path / "README.md").write_text(
-        "Use `repro.sim.sweep.ResultCache`, not repro.sim.no_such_module.\n")
+        "Use `repro.sim.pool.ResultStore`, not repro.sim.no_such_module.\n")
     (tmp_path / "docs" / "guide.md").write_text(
         "See repro.core.machine.Machine.no_such_method.\n")
     pkg = tmp_path / "src" / "repro"
     pkg.mkdir(parents=True)
     (pkg / "mod.py").write_text(
         '"""Built on :mod:`repro.sim.no_such_module` and\n'
-        ':class:`~repro.sim.sweep.ResultLedger`; plain repro.sim.gone\n'
+        ':class:`~repro.sim.pool.ResultStore`; plain repro.sim.gone\n'
         'prose is not a role."""\n')
     assert check_docs.dead_module_paths(tmp_path) == [
         "README.md: names repro.sim.no_such_module, which no longer resolves",

@@ -315,10 +315,10 @@ class TestCampaign:
     def test_campaign_ledger_resumes_without_refuzzing(self, tmp_path,
                                                          monkeypatch):
         from repro.fuzz import campaign as fc
-        from repro.sim.sweep import ResultLedger
+        from repro.sim.pool import ResultStore
 
         cells = fc.make_cells([11, 12], n_nodes=1, max_cycles=300_000)
-        ledger = ResultLedger(tmp_path / "ledger")
+        ledger = ResultStore(tmp_path / "ledger")
         first = fc.run_campaign(cells, jobs=0, out_dir=tmp_path / "art",
                                 shrink=False, ledger=ledger)
         assert all(r.ok for r in first)
@@ -330,3 +330,28 @@ class TestCampaign:
         second = fc.run_campaign(cells, jobs=0, out_dir=tmp_path / "art",
                                  shrink=False, ledger=ledger)
         assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
+
+    def test_ledger_of_other_code_is_refuzzed_not_replayed(self, tmp_path,
+                                                           monkeypatch):
+        from repro.fuzz import campaign as fc
+        from repro.sim import pool
+        from repro.sim.pool import ResultStore
+
+        cells = fc.make_cells([11], n_nodes=1, max_cycles=300_000)
+        ledger = ResultStore(tmp_path / "ledger")
+        with monkeypatch.context() as other_code:
+            other_code.setattr(pool, "_CODE_VERSION", "0123456789abcdef")
+            fc.run_campaign(cells, jobs=0, out_dir=tmp_path / "art",
+                            shrink=False, ledger=ledger)
+
+        fuzzed = []
+        real_run = fc.run_fuzz_cell
+
+        def counting_run(cell, *args, **kwargs):
+            fuzzed.append(cell)
+            return real_run(cell, *args, **kwargs)
+
+        monkeypatch.setattr(fc, "run_fuzz_cell", counting_run)
+        fc.run_campaign(cells, jobs=0, out_dir=tmp_path / "art",
+                        shrink=False, ledger=ledger)
+        assert fuzzed == cells, "replayed a ledger written by other code"

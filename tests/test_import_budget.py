@@ -6,7 +6,10 @@ it runs: no sweep service, protocol tracer, verifier or fuzzer, and
 no ``multiprocessing``.  Every perfbench set-up probe, ``python -m
 repro run`` and each docs-gate ``--help`` subprocess pays that cold
 start, so a stray package-level import shows up here first.  The CLI
-module itself loads the sweep service only for ``repro sweep``.
+module itself loads the sweep service only for ``repro sweep``.  A
+fuzz cell and an in-memory model check — the verifiers' own set-up
+cost — load neither the sweep nor the fan-out and store it shares
+with fuzz campaigns and the disk frontier.
 """
 
 import json
@@ -14,6 +17,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.sim.experiments import APPS
 
@@ -34,6 +39,28 @@ from repro.sim import driver
 stats = driver.run_app("fft", "base", n_nodes=1, preset="tiny")
 print(json.dumps({"cycles": stats.cycles, "modules": sorted(sys.modules)}))
 """
+
+
+#: The sweep service, the fan-out and store and what they import.
+SERVICE = {"repro.sim.sweep", "repro.sim.pool", "multiprocessing"}
+
+VERIFIER_PROBES = {
+    "fuzz-cell": """
+import json, sys
+from repro.fuzz.campaign import FuzzCell, run_fuzz_cell
+from repro.fuzz.stress import StressConfig
+cell = FuzzCell(seed=1, model="smtp", stress=StressConfig(n_ops=60))
+result = run_fuzz_cell(cell, shrink=False)
+print(json.dumps({"ok": result.ok, "modules": sorted(sys.modules)}))
+""",
+    "model-check": """
+import json, sys
+from repro.analyze.model import check_model
+result = check_model(n_nodes=2, loads=0, stores=1)
+print(json.dumps({"ok": result.violation is None,
+                  "modules": sorted(sys.modules)}))
+""",
+}
 
 
 def probe(code: str):
@@ -62,3 +89,11 @@ def test_cli_module_imports_no_sweep_service():
     modules = set(probe(CLI_PROBE))
     loaded = sorted(modules & {"repro.sim.sweep", "multiprocessing"})
     assert loaded == [], f"import repro.__main__ imported {loaded}"
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIER_PROBES))
+def test_verifiers_import_no_sweep_fan_out_or_store(name):
+    out = probe(VERIFIER_PROBES[name])
+    assert out["ok"]
+    loaded = sorted(set(out["modules"]) & SERVICE)
+    assert loaded == [], f"the {name} path imported {loaded}"

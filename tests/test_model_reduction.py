@@ -22,6 +22,7 @@ Three layers, mirroring the arguments in ``analyze/symmetry.py`` and
 """
 
 import hashlib
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -340,9 +341,9 @@ class TestDiskFrontier:
         """Kill the coordinator after two waves; a fresh call resumes
         from the last committed wave and finishes with identical
         counts."""
-        import repro.sim.sweep as sweep
+        import repro.sim.pool as pool
 
-        real_pool_map = sweep.pool_map
+        real_pool_map = pool.pool_map
         calls = {"n": 0}
 
         def dying_pool_map(*args, **kwargs):
@@ -351,13 +352,13 @@ class TestDiskFrontier:
                 raise KeyboardInterrupt("simulated kill")
             return real_pool_map(*args, **kwargs)
 
-        monkeypatch.setattr(sweep, "pool_map", dying_pool_map)
+        monkeypatch.setattr(pool, "pool_map", dying_pool_map)
         with pytest.raises(KeyboardInterrupt):
             check_model(
                 n_nodes=2, loads=0, stores=1, jobs=2,
                 frontier_dir=str(tmp_path / "f"),
             )
-        monkeypatch.setattr(sweep, "pool_map", real_pool_map)
+        monkeypatch.setattr(pool, "pool_map", real_pool_map)
 
         resumed = check_model(
             n_nodes=2, loads=0, stores=1, jobs=2,
@@ -368,6 +369,22 @@ class TestDiskFrontier:
         assert (resumed.states, resumed.transitions, resumed.pruned) == (
             mem.states, mem.transitions, mem.pruned
         )
+
+    def test_a_run_of_another_table_is_refused(self, tmp_path):
+        """A frontier dir holds the run of one handler table: checking
+        another table against it is refused, not answered with the
+        recorded result.  The same table still resumes."""
+        from repro.analyze.regressions import SEED_RACES
+
+        race = SEED_RACES[0]
+        frontier_dir = str(tmp_path / "f")
+        cfg = dict(n_nodes=race.n_nodes, loads=race.loads,
+                   stores=race.stores, jobs=2, frontier_dir=frontier_dir)
+        reverted = check_model(table=race.build_table(), **cfg)
+        assert reverted.violation is not None
+        assert check_model(table=race.build_table(), **cfg) == reverted
+        with pytest.raises(ConfigError, match=re.escape(frontier_dir)):
+            check_model(**cfg)
 
     @given(cfg=reachable_configs)
     @SETTINGS

@@ -41,7 +41,7 @@ from repro.protocol.handlers import (
     dir_prologue,
 )
 from repro.protocol.isa import T0, T3, T4, HandlerBuilder
-from repro.sim import sweep
+from repro.sim import pool
 
 from test_analyze import broken_getx_table
 
@@ -162,7 +162,7 @@ class TestAdmissionCheck:
         results = {}
         for reverse in (False, True):
             monkeypatch.setattr(
-                sweep, "pool_map", partial(inline_pool_map, reverse=reverse),
+                pool, "pool_map", partial(inline_pool_map, reverse=reverse),
             )
             results[reverse] = check_model(
                 n_nodes=race.n_nodes, loads=race.loads,

@@ -20,12 +20,12 @@ import pytest
 import repro.sim.driver
 from repro.__main__ import main as repro_main
 from repro.sim import sweep as sweep_mod
+from repro.sim.pool import ResultStore
 from repro.sim.sweep import (
     COUNT_FIELDS,
     GATE_BEST_OF,
     PRE_BUILD_BLOCKS,
     CellResult,
-    ResultCache,
     SweepCell,
     compare,
 )
@@ -278,8 +278,8 @@ def test_gate_and_perf_delta_give_the_same_verdicts(tmp_path, fake_sim,
     fake_sim.seconds.update(water=0.52, fft=0.65, lu=0.8)
     fake_sim.cycles.update(water=1000, fft=2000, lu=1000)
     ocean = SweepCell.make("ocean", "base", preset="tiny")
-    ResultCache(tmp_path / "cache").put(
-        ocean.cache_key(), CellResult(ocean, "ok", stats={"cycles": 7}))
+    ResultStore(tmp_path / "cache").put(
+        ocean.cache_key(), {"stats": {"cycles": 7}})
     baseline = {
         "reference_s": 0.04,
         "cells": [base_row("water", 0.5), base_row("fft", 0.5, 2000),

@@ -6,6 +6,7 @@ simulation finishes in well under a second.
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -16,16 +17,14 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.sim import pool as pool_mod
 from repro.sim import sweep as sweep_mod
+from repro.sim.pool import ResultStore, code_version, pool_map
 from repro.sim.sweep import (
     CellResult,
-    ResultCache,
-    ResultLedger,
     SweepCell,
-    code_version,
     compare,
     make_grid,
-    pool_map,
     run_cell,
     run_sweep,
     write_bench_json,
@@ -62,7 +61,7 @@ def bump_app_compiler_version(monkeypatch):
         return data
 
     monkeypatch.setattr(Path, "read_bytes", read_bumped)
-    monkeypatch.setattr(sweep_mod, "_CODE_VERSION", None)
+    monkeypatch.setattr(pool_mod, "_CODE_VERSION", None)
 
 
 class TestCacheKey:
@@ -86,7 +85,7 @@ class TestCacheKey:
 
     def test_code_version_changes_the_key(self, monkeypatch):
         base = fast_cell().cache_key()
-        monkeypatch.setattr(sweep_mod, "_CODE_VERSION", "deadbeef00000000")
+        monkeypatch.setattr(pool_mod, "_CODE_VERSION", "deadbeef00000000")
         assert fast_cell().cache_key() != base
 
     def test_code_version_is_cached_and_hexish(self):
@@ -117,7 +116,7 @@ class TestCacheKey:
 
 class TestResultCache:
     def test_miss_run_hit(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         cold = run_sweep([fast_cell()], jobs=0, cache=cache)[0]
         assert cold.ok and not cold.cached
         warm = run_sweep([fast_cell()], jobs=0, cache=cache)[0]
@@ -125,22 +124,22 @@ class TestResultCache:
         assert warm.stats == cold.stats
 
     def test_param_change_invalidates(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         run_sweep([fast_cell()], jobs=0, cache=cache)
         other = run_sweep([fast_cell(ways=2)], jobs=0, cache=cache)[0]
         assert not other.cached
 
     def test_refresh_ignores_prior_results_once(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         run_sweep([fast_cell()], jobs=0, cache=cache)
-        fresh = ResultCache(tmp_path, refresh=True)
+        fresh = ResultStore(tmp_path, refresh=True)
         redone = run_sweep([fast_cell()], jobs=0, cache=fresh)[0]
         assert not redone.cached  # prior process's result ignored
         again = run_sweep([fast_cell()], jobs=0, cache=fresh)[0]
         assert again.cached  # but this process's rewrite is reused
 
     def test_failures_are_not_cached(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         bad = fast_cell(watchdog_cycles=1)
         first = run_sweep([bad], jobs=0, cache=cache)[0]
         assert first.status == "failed"
@@ -156,10 +155,8 @@ class TestResultCache:
         key = cell.cache_key()
         writer_b = (
             "import sys\n"
-            "from repro.sim.sweep import CellResult, ResultCache, SweepCell\n"
-            "cell = SweepCell.make('water', 'smtp', preset='tiny')\n"
-            "ResultCache(sys.argv[1]).put(\n"
-            "    sys.argv[2], CellResult(cell, 'ok', stats={'cycles': 2}))\n"
+            "from repro.sim.pool import ResultStore\n"
+            "ResultStore(sys.argv[1]).put(sys.argv[2], {'stats': {'cycles': 2}})\n"
         )
         real_replace = os.replace
 
@@ -168,16 +165,16 @@ class TestResultCache:
                            env=CHILD_ENV, check=True)
             real_replace(src, dst)
 
-        monkeypatch.setattr(sweep_mod.os, "replace", replace_after_writer_b)
-        ResultCache(tmp_path).put(key, CellResult(cell, "ok",
-                                                  stats={"cycles": 1}))
+        monkeypatch.setattr(pool_mod.os, "replace", replace_after_writer_b)
+        ResultStore(tmp_path).put(key, {"stats": {"cycles": 1}})
         monkeypatch.undo()
 
         assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
-        assert ResultCache(tmp_path).get(key) == {"cycles": 1}  # A renamed last
+        # A renamed last.
+        assert ResultStore(tmp_path).get(key) == {"stats": {"cycles": 1}}
 
     def test_duplicate_cells_simulated_once(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         results = run_sweep([fast_cell(), fast_cell()], jobs=0, cache=cache)
         assert len(results) == 2
         assert results[0].stats == results[1].stats
@@ -188,7 +185,7 @@ class TestResultCache:
             self, tmp_path, monkeypatch):
         # Regression: rows cached by an older app compiler must be
         # re-simulated, not served, after a version bump.
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         old_row = run_sweep([fast_cell()], jobs=0, cache=cache)[0]
         assert old_row.ok and not old_row.cached
         bump_app_compiler_version(monkeypatch)
@@ -198,7 +195,7 @@ class TestResultCache:
 
     def test_stale_rows_not_reused_across_app_feed_modes(
             self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path)
+        cache = ResultStore(tmp_path)
         run_sweep([fast_cell()], jobs=0, cache=cache)
         monkeypatch.setenv("REPRO_APP_INTERP", "1")
         interp_row = run_sweep([fast_cell()], jobs=0, cache=cache)[0]
@@ -209,24 +206,42 @@ def _double(payload):
     return {"value": payload * 2}
 
 
-def test_pool_map_ledger_replays_finished_items(tmp_path):
-    ledger = ResultLedger(tmp_path / "ledger")
+def _die(payload):
+    os._exit(3)
+
+
+def test_pool_map_reports_inline_and_pooled_items_alike():
     pending = [("a", 1), ("b", 2)]
+    for jobs in (0, 2):
+        seen = {}
+        pool_map(pending, _double, jobs=jobs,
+                 on_done=lambda i, p, o, e, a: seen.update({i: (o, a)}))
+        assert seen == {"a": ({"value": 2}, 1), "b": ({"value": 4}, 1)}, jobs
 
-    seen = {}
-    pool_map(pending, _double, jobs=2,
-             on_done=lambda i, p, o, e, a: seen.update({i: (o, a)}),
-             ledger=ledger)
-    assert seen["a"][0] == {"value": 2} and seen["a"][1] == 1
 
-    replayed = {}
-    pool_map(pending, _double, jobs=2,
-             on_done=lambda i, p, o, e, a: replayed.update({i: (o, a)}),
-             ledger=ledger)
-    assert replayed == {
-        "a": ({"value": 2}, 0),
-        "b": ({"value": 4}, 0),
-    }, "second run must replay from the ledger (attempts=0, no worker)"
+def test_pool_map_reports_a_crash_in_the_outcome_shape():
+    seen = []
+    pool_map([("x", None)], _die, jobs=1, retries=1,
+             on_done=lambda i, p, o, e, a: seen.append((o, a)))
+    assert seen == [({
+        "status": "crashed",
+        "error": "worker exited with code 3 and no result",
+        "error_type": "WorkerCrash",
+    }, 2)]
+
+
+def test_inline_pool_map_propagates_exceptions():
+    with pytest.raises(TypeError):
+        pool_map([("x", None)], _double, jobs=0)
+
+
+def test_store_refuses_a_file_as_its_directory(tmp_path):
+    from repro.common.errors import ConfigError
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(ConfigError, match=re.escape(str(blocker))):
+        ResultStore(blocker)
 
 
 #: Per-run provenance and timing in a BENCH cell record; everything
@@ -284,7 +299,7 @@ def test_sigkilled_sweep_resumes_from_the_cache(tmp_path):
 class TestDegradation:
     def test_deadlock_yields_failure_row_not_dead_sweep(self, tmp_path):
         cells = [fast_cell(watchdog_cycles=1), fast_cell()]
-        results = run_sweep(cells, jobs=0, cache=ResultCache(tmp_path))
+        results = run_sweep(cells, jobs=0, cache=ResultStore(tmp_path))
         assert results[0].status == "failed"
         assert results[0].error_type == "DeadlockError"
         assert "forward progress" in results[0].error
@@ -292,7 +307,7 @@ class TestDegradation:
 
     def test_deadlock_in_worker_process(self, tmp_path):
         cells = [fast_cell(watchdog_cycles=1), fast_cell()]
-        results = run_sweep(cells, jobs=2, cache=ResultCache(tmp_path))
+        results = run_sweep(cells, jobs=2, cache=ResultStore(tmp_path))
         assert results[0].status == "failed"
         assert results[0].error_type == "DeadlockError"
         assert results[1].ok
@@ -301,7 +316,7 @@ class TestDegradation:
         slow = SweepCell.make("fft", "base", preset="bench")
         result = run_sweep([slow], jobs=1, timeout=0.2)[0]
         assert result.status == "timeout"
-        assert result.error_type == "SweepTimeout"
+        assert result.error_type == "WorkerTimeout"
         assert result.elapsed_s < 5.0  # killed, not run to completion
 
     def test_timeout_retries_are_counted(self):
@@ -314,8 +329,8 @@ class TestDegradation:
 class TestEquivalence:
     def test_serial_and_parallel_stats_identical(self, tmp_path):
         grid = make_grid(("water", "fft"), ("base", "smtp"), preset="tiny")
-        serial = run_sweep(grid, jobs=0, cache=ResultCache(tmp_path / "s"))
-        parallel = run_sweep(grid, jobs=2, cache=ResultCache(tmp_path / "p"))
+        serial = run_sweep(grid, jobs=0, cache=ResultStore(tmp_path / "s"))
+        parallel = run_sweep(grid, jobs=2, cache=ResultStore(tmp_path / "p"))
         for s, p in zip(serial, parallel):
             assert s.ok and p.ok
             assert s.stats == p.stats  # bit-identical summaries
@@ -334,7 +349,7 @@ class TestBenchJson:
         cell = fast_cell()
         results = [
             CellResult(cell, "ok", stats={"cycles": 123}, elapsed_s=0.5),
-            CellResult(cell, "timeout", error="t", error_type="SweepTimeout"),
+            CellResult(cell, "timeout", error="t", error_type="WorkerTimeout"),
         ]
         path = write_bench_json(tmp_path, "smoke", results, jobs=4,
                                 wall_clock_s=1.25)
@@ -417,11 +432,11 @@ class TestSweepCLI:
         from repro.__main__ import main
         from repro.sim.sweep import NAMED_GRIDS
 
-        cache = ResultCache(tmp_path / "cache")
+        cache = ResultStore(tmp_path / "cache")
         for cell in NAMED_GRIDS["table8"]():
             stats = {"cycles": 1000, "br_mispredict": 0.1,
                      "squash_fraction": 0.002, "retired_share": 0.5}
-            cache.put(cell.cache_key(), CellResult(cell, "ok", stats=stats))
+            cache.put(cell.cache_key(), {"stats": stats})
         rc = main(["sweep", "--grid", "table8", "--jobs", "0",
                    "--cache-dir", str(tmp_path / "cache"),
                    "--out", str(tmp_path)])
@@ -535,7 +550,7 @@ class TestSmokeGrid:
         from repro.sim.sweep import NAMED_GRIDS
 
         results = run_sweep(NAMED_GRIDS["smoke"](), jobs=0,
-                            cache=ResultCache(tmp_path))
+                            cache=ResultStore(tmp_path))
         assert all(r.ok for r in results)
 
 
