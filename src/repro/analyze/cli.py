@@ -2,7 +2,8 @@
 
 Exit codes: 0 clean (possibly with suppressed/info findings), 1 at
 least one unsuppressed error finding, 2 configuration error (bad
-flags, broken suppression list, crashed worker).
+flags, broken suppression list, a frontier dir holding another
+run).
 """
 
 from __future__ import annotations
@@ -56,15 +57,9 @@ def add_analyze_parser(sub) -> None:
     )
     p.add_argument(
         "--frontier-dir", default=None, metavar="DIR",
-        help="keep the BFS frontier on disk under DIR, sharded over "
-        "the worker pool and kill-resumable (see docs/analyze.md); "
-        "default in-memory",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1, metavar="J",
-        help="worker processes for the --frontier-dir disk frontier "
-        "(default 1; the in-memory search runs in-process and "
-        "refuses J > 1)",
+        help="checkpoint the search under DIR after every BFS level; a "
+        "re-run resumes a killed run or replays a finished one (see "
+        "docs/analyze.md); default no checkpoint",
     )
     p.add_argument(
         "--max-states", type=int, default=400_000, metavar="S",
@@ -151,7 +146,6 @@ def update_bench_model(path: str, row: dict) -> None:
 
 
 def build_report(
-    jobs: int = 1,
     max_nodes: int = 2,
     max_states: int = 400_000,
     loads: int = 1,
@@ -201,7 +195,7 @@ def build_report(
     if run_model:
         t0 = time.perf_counter()
         result = check_model(
-            n_nodes=max_nodes, loads=loads, stores=stores, jobs=jobs,
+            n_nodes=max_nodes, loads=loads, stores=stores,
             max_states=max_states, table=table, layout=layout,
             n_lines=n_lines, depth=depth, frontier_dir=frontier_dir,
             protocol=protocol,
@@ -277,7 +271,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(f"wrote {path}")
             return 0
         report = build_report(
-            jobs=args.jobs,
             max_nodes=args.nodes,
             max_states=args.max_states,
             loads=args.loads,

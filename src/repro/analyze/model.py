@@ -24,11 +24,10 @@ DESIGN.md, "Reduction theory", and :mod:`repro.analyze.symmetry`):
   transition (:func:`ample_probe`), it is explored *alone* as a
   singleton ample set and the sibling interleavings are pruned.
 
-The search runs in one process (:func:`_bfs`).  Deep configurations
-run against a disk-backed frontier instead
-(:mod:`repro.analyze.frontier`), the one parallel explorer: sharded
-over :func:`repro.sim.pool.pool_map` workers, kill-resumable through
-the shared result store, with the same exact counts.
+The search is one in-process BFS (:func:`_bfs`).  A deep run can
+checkpoint it to a directory level by level
+(:mod:`repro.analyze.frontier`), so a killed run resumes to the same
+result.
 
 Invariants: the :mod:`repro.protocol.invariants` predicates, the same
 ones the sanitizer evaluates on the full simulator — ``check_entry``
@@ -1067,9 +1066,8 @@ def _traced(exc: ModelViolation, label: str, entry: Entry) -> Violation:
 class Search:
     """Successor generation and admission for one search.
 
-    Both explorers — the in-memory BFS and a disk frontier shard —
-    expand their entries through one instance.  The instance owns the
-    search's memos: the canonicalizer's component keys and the
+    The BFS expands every entry through one instance.  The instance
+    owns the search's memos: the canonicalizer's component keys and the
     recorded handler runs (:meth:`_Sim.run_handler`).  Both go when
     the instance does.
     """
@@ -1105,13 +1103,12 @@ class Search:
         return out
 
     def expand(
-        self, entry: Entry, known, ident=None,
-    ) -> Tuple[List[Tuple[Entry, int, object]], int, int, Optional[Violation]]:
+        self, entry: Entry, known,
+    ) -> Tuple[List[Tuple[Entry, int]], int, int, Optional[Violation]]:
         """Expand ``entry`` and admit its new successors.
 
-        A successor is new when its identity — ``ident(canonical,
-        key)``, by default the canonical state itself — is not in
-        ``known`` and no earlier successor of ``entry`` shares it.
+        A successor is new when its canonical state is not in ``known``
+        and no earlier successor of ``entry`` shares it.
         Each new successor is checked with :func:`check_state` here, the
         only place invariants over whole states are evaluated.  That is
         sound: every known state was checked when it was admitted, and
@@ -1119,7 +1116,7 @@ class Search:
         applies.
 
         Returns ``(kids, n_succ, pruned, violation)``: ``kids`` holds
-        ``(child entry, orbit size, identity)`` per new successor in
+        ``(child entry, orbit size)`` per new successor in
         successor order, and ``n_succ`` counts every successor.  The
         first violation in successor order wins, whether a transition
         faulted while firing or a new state failed its check; then
@@ -1150,13 +1147,12 @@ class Search:
                 ):
                     check_state(nxt, self.n)
                 if self.canon is not None:
-                    cnxt, rho_s, rho_l, orbit, key = self.canon(nxt)
+                    cnxt, rho_s, rho_l, orbit, _ = self.canon(nxt)
                 else:
-                    cnxt, (rho_s, rho_l), orbit, key = nxt, self.ids, 1, None
-                idn = cnxt if ident is None else ident(cnxt, key)
-                if idn in known or idn in fresh:
+                    cnxt, (rho_s, rho_l), orbit = nxt, self.ids, 1
+                if cnxt in known or cnxt in fresh:
                     continue
-                fresh.add(idn)
+                fresh.add(cnxt)
                 check_state(nxt, self.n)
             except ModelViolation as exc:
                 return [], 0, 0, _traced(exc, label, entry)
@@ -1165,14 +1161,14 @@ class Search:
                 trace + (self.remap_label(label, sig, lam),),
                 sym.compose(sig, sym.invert(rho_s)),
                 sym.compose(lam, sym.invert(rho_l)),
-            ), orbit, idn))
+            ), orbit))
         if fault is not None:
             return [], 0, 0, _traced(fault, fault.label, entry)  # type: ignore[attr-defined]
         return kids, len(succ), pruned, None
 
 
 def _bfs(
-    roots: List[Entry],
+    init: MState,
     layout: DirectoryLayout,
     table: HandlerTable,
     max_states: int,
@@ -1180,42 +1176,59 @@ def _bfs(
     reduce_sym: bool = True,
     reduce_por: bool = True,
     bundle=None,
+    checkpoint=None,
 ) -> ExploreResult:
-    visited = {st for st, _, _, _ in roots}
-    frontier = deque(roots)
-    search = Search(
-        roots[0][0], layout, table, bundle, reduce_sym, reduce_por
-    )
-    transitions = 0
-    pruned = 0
-    sym_states = len(visited)  # roots are symmetric or pre-canonical
-    truncated = False
-    max_depth = 0
-    while frontier:
-        entry = frontier.popleft()
-        max_depth = max(max_depth, len(entry[1]))
-        if depth is not None and len(entry[1]) >= depth:
-            truncated = True
-            continue
-        kids, n_succ, pr, violation = search.expand(entry, visited)
-        if violation is not None:
-            return ExploreResult(
-                len(visited), transitions, truncated, violation,
-                sym_states, pruned, max_depth,
-            )
-        transitions += n_succ
-        pruned += pr
-        for child, orbit, _ in kids:
-            if len(visited) >= max_states:
+    """Breadth-first search from ``init``, one level at a time.
+
+    With a ``checkpoint`` (:class:`repro.analyze.frontier.Checkpoint`)
+    each finished level is committed, a committed run is resumed from
+    its last level and a finished one returns its recorded result.
+    """
+    counts = ExploreResult(1, 0, False, None, 1, 0, 0)
+    levels: List[List[Entry]] = [[root_entry(init)]]
+    if checkpoint is not None:
+        done = checkpoint.result()
+        if done is not None:
+            return done
+        committed, saved = checkpoint.resume()
+        if committed:
+            levels, counts = committed, saved
+        else:
+            checkpoint.commit(levels[0], counts)
+    _, transitions, truncated, _, sym_states, pruned, max_depth = counts
+    visited = {entry[0] for level in levels for entry in level}
+    level = deque(levels[-1])
+    del levels  # earlier levels' traces: their states are in visited
+    search = Search(init, layout, table, bundle, reduce_sym, reduce_por)
+    violation = None
+    while level and violation is None:
+        nxt: deque = deque()
+        while level:
+            entry = level.popleft()
+            max_depth = max(max_depth, len(entry[1]))
+            if depth is not None and len(entry[1]) >= depth:
                 truncated = True
+                continue
+            kids, n_succ, pr, violation = search.expand(entry, visited)
+            if violation is not None:
                 break
-            visited.add(child[0])
-            sym_states += orbit
-            frontier.append(child)
-    return ExploreResult(
-        len(visited), transitions, truncated, None,
-        sym_states, pruned, max_depth,
-    )
+            transitions += n_succ
+            pruned += pr
+            for child, orbit in kids:
+                if len(visited) >= max_states:
+                    truncated = True
+                    break
+                visited.add(child[0])
+                sym_states += orbit
+                nxt.append(child)
+        counts = ExploreResult(
+            len(visited), transitions, truncated, violation,
+            sym_states, pruned, max_depth,
+        )
+        level = nxt
+        if checkpoint is not None and level and violation is None:
+            checkpoint.commit(level, counts)
+    return counts if checkpoint is None else checkpoint.finish(counts)
 
 
 def check_model(
@@ -1240,12 +1253,12 @@ def check_model(
     are what the mirror executes.  An explicit ``table`` overrides the
     bundle's (the mutation tests patch individual handlers).
 
-    Without ``frontier_dir`` the search is the in-process BFS
-    (:func:`_bfs`), and ``jobs`` must be 1.  With ``frontier_dir`` set
-    the frontier lives on disk, sharded wave by wave over ``jobs``
-    ``pool_map`` workers and kill-resumable (see
-    :mod:`repro.analyze.frontier`).  Both keep one visited set, so
-    ``states`` is exact and ``max_states`` caps the whole search.
+    The search is the in-process BFS (:func:`_bfs`); ``states`` is
+    exact and ``max_states`` caps the whole search.  With
+    ``frontier_dir`` set the BFS checkpoints every level there and
+    resumes a killed run, returning the result an in-memory run
+    returns (see :mod:`repro.analyze.frontier`).  ``jobs`` must be 1:
+    the search runs in one process.
 
     ``reduce_sym``/``reduce_por`` exist so tests can compare the
     reduced and flat explorations; production callers leave them on.
@@ -1262,10 +1275,9 @@ def check_model(
         raise ConfigError("loads/stores must be >= 0, max_states > 0")
     if depth is not None and depth <= 0:
         raise ConfigError("depth must be > 0 when set")
-    if jobs > 1 and frontier_dir is None:
+    if jobs != 1:
         raise ConfigError(
-            f"jobs={jobs} needs a disk frontier (--frontier-dir DIR): "
-            "the in-memory search runs in one process"
+            f"jobs={jobs}: the model check runs in one process"
         )
     bundle = None
     if protocol is not None:
@@ -1290,19 +1302,18 @@ def check_model(
 
     init = initial_state(n_nodes, loads, stores, n_lines)
 
+    checkpoint = None
     if frontier_dir is not None:
-        from repro.analyze.frontier import explore_disk
+        from repro.analyze.frontier import Checkpoint
 
-        return explore_disk(
-            init, layout, table, frontier_dir,
-            jobs=max(1, jobs), max_states=max_states, depth=depth,
-            reduce_sym=reduce_sym, reduce_por=reduce_por, bundle=bundle,
+        checkpoint = Checkpoint(
+            frontier_dir, init, table, max_states, depth,
+            reduce_sym, reduce_por, bundle,
         )
-
     return _bfs(
-        [root_entry(init)], layout, table, max_states,
-        depth=depth, reduce_sym=reduce_sym, reduce_por=reduce_por,
-        bundle=bundle,
+        init, layout, table, max_states, depth=depth,
+        reduce_sym=reduce_sym, reduce_por=reduce_por, bundle=bundle,
+        checkpoint=checkpoint,
     )
 
 

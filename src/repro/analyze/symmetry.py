@@ -268,9 +268,8 @@ class Canonicalizer:
     The instance memoizes permuted component keys across calls — node
     keys by ``(MNode, σ, λ)``, channel-queue keys by ``(queue, σ, λ)``,
     directory entries by ``(entry, σ)`` — because successive BFS states
-    share most of their components.  Each search (a BFS or a frontier
-    shard expansion) owns one instance; the memo goes when the
-    instance does.
+    share most of their components.  Each search owns one instance;
+    the memo goes when the instance does.
     """
 
     def __init__(self, n_nodes: int, n_lines: int) -> None:

@@ -75,13 +75,9 @@ class ProcessorParams:
     # Branch handling.
     btb_sets: int = 256
     btb_assoc: int = 4
-    ras_entries: int = 32
     branch_stack: int = 32
     local_history_bits: int = 10
     global_history_bits: int = 12
-    # Cycles from fetch of a branch to earliest possible redirect after
-    # resolution (the 9-stage pipe: fetch..ALU).
-    mispredict_redirect_penalty: int = 7
 
     # Windows.
     active_list_per_thread: int = 128
@@ -91,12 +87,7 @@ class ProcessorParams:
     store_buffer: int = 32
 
     # Execution resources.
-    alus: int = 7  # one dedicated to address calculation
-    fpus: int = 3
-    int_mult_latency: int = 6
     int_div_latency: int = 35
-    fp_mult_latency: int = 1
-    fp_div_sp_latency: int = 12
     fp_div_dp_latency: int = 19
     commit_width: int = 8
 
@@ -199,7 +190,6 @@ class MemoryParams:
     sdram_queue: int = 16
     local_miss_queue: int = 16
     ni_input_queue: int = 2  # entries per virtual network
-    ni_output_queue: int = 16
     virtual_networks: int = 4
 
 
@@ -209,7 +199,6 @@ class NetworkParams:
 
     hop_ns: float = 25.0
     link_bandwidth_gbs: float = 1.0
-    router_ports: int = 6
     header_bytes: int = 16
     bristle: int = 2  # nodes per router
 

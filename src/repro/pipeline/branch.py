@@ -121,7 +121,7 @@ class BTB:
 class ReturnAddressStack:
     """Per-thread RAS with top-of-stack repair (paper cites [37])."""
 
-    def __init__(self, entries: int = 32) -> None:
+    def __init__(self, entries: int = 32) -> None:  # Table 2: 32 entries
         self.entries = entries
         self._stack: List[int] = []
 

@@ -48,6 +48,8 @@ from repro.protocol.extensions import AM_OPS
 #: Extra cycles from issue to execute (the two register-read stages).
 READ_STAGES = 2
 
+#: Table 2 latencies: integer multiply 6, divide 35; FP multiply 1,
+#: divide 12 single / 19 double precision (FDIV takes the double).
 _EXEC_LATENCY = {
     UopKind.ALU: 1,
     UopKind.SYNTH: 1,
@@ -1791,7 +1793,7 @@ class SMTCore(ReferenceStages):
             mem.append(pf[0])
             if len(mem) == 2 and mem[0].iq_pos > mem[1].iq_pos:
                 mem.reverse()
-        alu = 6
+        alu = 6  # Table 2: 7 ALUs, one kept for address calculation
         iqr = self._iqr
         gated = self._gated  # persistent scratch; always left empty
         if not mem:
@@ -1875,7 +1877,7 @@ class SMTCore(ReferenceStages):
             del gated[:]
         fqr = self._fqr
         if fqr:
-            fpu = 3
+            fpu = 3  # Table 2: 3 FPUs
             while fpu > 0 and fqr:
                 pos, uop = heappop(fqr)
                 if uop.squashed:
@@ -1967,7 +1969,7 @@ class SMTCore(ReferenceStages):
             elif len(mem) > 2:
                 mem.sort(key=attrgetter("iq_pos"))
         # -- integer + memory, merged in admission order ---------------
-        alu = 6
+        alu = 6  # Table 2: 7 ALUs, one kept for address calculation
         iqr = self._iqr
         gated = self._gated  # persistent scratch; always left empty
         if not mem:
@@ -2065,7 +2067,7 @@ class SMTCore(ReferenceStages):
         # -- floating point -------------------------------------------
         fqr = self._fqr
         if fqr:
-            fpu = 3
+            fpu = 3  # Table 2: 3 FPUs
             fq_pool = self.fq_pool
             while fpu > 0 and fqr:
                 pos, uop = heappop(fqr)

@@ -101,6 +101,7 @@ class ReferenceStages:
                 self._worked = True
 
     def _issue(self: "SMTCore") -> None:
+        # Table 2: 7 ALUs (one for address calculation) and 3 FPUs.
         alu = 6
         agu = 1
         fpu = 3

@@ -1,8 +1,8 @@
 """Process fan-out and the durable result store.
 
-The paper's experiment grids, fuzz campaigns and the model checker's
-disk frontier are all maps of independent items.  This module holds
-the two pieces they share, and nothing about any one of them:
+The paper's experiment grids and fuzz campaigns are both maps of
+independent items.  This module holds the two pieces they share, and
+nothing about either of them:
 
 * :func:`pool_map` — fan ``(ident, payload)`` items over one
   terminate-able subprocess each (or run them inline), reporting every
@@ -14,7 +14,8 @@ the two pieces they share, and nothing about any one of them:
 
 :func:`write_atomic` is the one temp-file-and-rename writer behind
 every store record, ``BENCH_*.json`` and ``FUZZ_*.json`` report, fuzz
-failure artifact and disk-frontier file.
+failure artifact and model-check checkpoint file; :func:`code_version`
+also keys those checkpoints.
 """
 
 from __future__ import annotations

@@ -165,13 +165,16 @@ class TestModelPass:
         assert not result.truncated
         assert result.states > 1000
 
-    def test_worker_pool_needs_a_disk_frontier(self):
-        """The in-memory search runs in one process; only the disk
-        frontier fans out over workers."""
+    def test_worker_pool_needs_a_disk_frontier(self, tmp_path):
+        """There is no worker pool: the search runs in one process,
+        and a disk frontier only checkpoints it, so ``jobs`` other
+        than 1 is refused with or without one."""
         from repro.common.errors import ConfigError
 
-        with pytest.raises(ConfigError, match="--frontier-dir"):
-            check_model(n_nodes=2, loads=1, stores=1, jobs=2)
+        for frontier_dir in (None, str(tmp_path / "f")):
+            with pytest.raises(ConfigError, match="one process"):
+                check_model(n_nodes=2, loads=1, stores=1, jobs=2,
+                            frontier_dir=frontier_dir)
 
     def test_bad_config_rejected(self):
         from repro.common.errors import ConfigError

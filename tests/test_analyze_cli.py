@@ -64,8 +64,13 @@ class TestExitCodes:
         assert "analyze:" in capsys.readouterr().err
 
     def test_jobs_without_a_disk_frontier_exits_two(self, tmp_path, capsys):
-        assert run_analyze(tmp_path, "--jobs", "2") == 2
-        assert "--frontier-dir" in capsys.readouterr().err
+        """``analyze`` has no ``--jobs``: the search runs in one
+        process, with or without a ``--frontier-dir``."""
+        for extra in ((), ("--frontier-dir", str(tmp_path / "f"))):
+            with pytest.raises(SystemExit) as exc:
+                run_analyze(tmp_path, "--jobs", "2", *extra)
+            assert exc.value.code == 2
+            assert "--jobs" in capsys.readouterr().err
 
 
 class TestJsonReport:

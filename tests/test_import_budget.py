@@ -9,7 +9,7 @@ start, so a stray package-level import shows up here first.  The CLI
 module itself loads the sweep service only for ``repro sweep``.  A
 fuzz cell and an in-memory model check — the verifiers' own set-up
 cost — load neither the sweep nor the fan-out and store it shares
-with fuzz campaigns and the disk frontier.
+with fuzz campaigns.
 """
 
 import json

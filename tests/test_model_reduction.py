@@ -16,12 +16,11 @@ Three layers, mirroring the arguments in ``analyze/symmetry.py`` and
   other enabled transition, and prunes nothing permanently (every
   other transition is still enabled afterwards).
 * **Agreement end-to-end**: reduced and flat exploration agree on the
-  verdict for the shipped table and for a broken one, and the
-  disk-backed frontier survives a mid-run kill and keeps the visited
-  digest bytes earlier runs wrote.
+  verdict for the shipped table and for a broken one, and a run
+  checkpointed to a ``--frontier-dir`` returns exactly the in-memory
+  result, also when it is killed at any write and resumed.
 """
 
-import hashlib
 import re
 
 import pytest
@@ -32,6 +31,7 @@ from repro.common.errors import ConfigError
 from repro.protocol import extensions, registry
 from repro.protocol.directory import DirectoryLayout
 from repro.protocol.handlers import build_handler_table
+from repro.sim import pool
 
 from repro.analyze import frontier
 from repro.analyze import symmetry as sym
@@ -305,70 +305,82 @@ class TestReducedFlatAgreement:
 
 
 class TestDiskFrontier:
+    """A ``--frontier-dir`` run checkpoints the one BFS: it returns the
+    in-memory ``ExploreResult`` exactly, traces included."""
+
     def test_matches_in_memory_and_resumes_when_done(self, tmp_path):
-        mem = check_model(n_nodes=2, loads=0, stores=1, jobs=1)
-        disk = check_model(
-            n_nodes=2, loads=0, stores=1, jobs=2,
-            frontier_dir=str(tmp_path / "f"),
-        )
-        assert disk.violation is None
-        assert (disk.states, disk.transitions, disk.pruned) == (
-            mem.states, mem.transitions, mem.pruned
-        )
-        assert disk.max_depth == mem.max_depth
-        # Re-invoking over a finished run returns the recorded result
+        cfg = dict(n_nodes=2, loads=0, stores=1)
+        mem = check_model(**cfg)
+        disk = check_model(frontier_dir=str(tmp_path / "f"), **cfg)
+        assert disk == mem
+        # A finished run keeps only its meta and replays its result
         # without re-exploring.
-        again = check_model(
-            n_nodes=2, loads=0, stores=1, jobs=2,
-            frontier_dir=str(tmp_path / "f"),
-        )
-        assert (again.states, again.transitions) == (
-            disk.states, disk.transitions
-        )
+        assert [p.name for p in (tmp_path / "f").iterdir()] == ["meta.json"]
+        assert check_model(frontier_dir=str(tmp_path / "f"), **cfg) == mem
+
+    @pytest.mark.parametrize("cap", [
+        dict(max_states=500), dict(depth=6),
+    ], ids=["max_states", "depth"])
+    def test_a_capped_run_matches_in_memory(self, cap, tmp_path):
+        """Past the state cap the search still expands every entry it
+        queued, so the checkpoint must count those transitions too."""
+        cfg = dict(n_nodes=2, loads=1, stores=1, **cap)
+        mem = check_model(**cfg)
+        assert mem.truncated
+        if "max_states" in cap:
+            assert (mem.states, mem.transitions) == (500, 1282)
+        assert check_model(frontier_dir=str(tmp_path / "f"), **cfg) == mem
 
     def test_config_mismatch_is_refused(self, tmp_path):
         check_model(
-            n_nodes=2, loads=0, stores=1, jobs=2,
-            frontier_dir=str(tmp_path / "f"),
+            n_nodes=2, loads=0, stores=1, frontier_dir=str(tmp_path / "f"),
         )
         with pytest.raises(ConfigError):
             check_model(
-                n_nodes=2, loads=1, stores=1, jobs=2,
+                n_nodes=2, loads=1, stores=1,
                 frontier_dir=str(tmp_path / "f"),
             )
 
     def test_survives_a_mid_run_kill(self, tmp_path, monkeypatch):
-        """Kill the coordinator after two waves; a fresh call resumes
-        from the last committed wave and finishes with identical
-        counts."""
-        import repro.sim.pool as pool
+        """Kill the run in place of each of its file writes in turn,
+        including every ``meta.json`` bump right after its level file:
+        a fresh call resumes from the last committed level and returns
+        the in-memory result.  Small chunks, so each level file holds
+        several pickles."""
+        cfg = dict(n_nodes=2, loads=0, stores=1)
+        mem = check_model(**cfg)
+        monkeypatch.setattr(frontier, "CHUNK", 3)
+        real_write = pool.write_atomic
+        names = []
 
-        real_pool_map = pool.pool_map
-        calls = {"n": 0}
+        def recording_write(path, data):
+            names.append(path.name)
+            real_write(path, data)
 
-        def dying_pool_map(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] > 2:
-                raise KeyboardInterrupt("simulated kill")
-            return real_pool_map(*args, **kwargs)
+        monkeypatch.setattr(pool, "write_atomic", recording_write)
+        check_model(frontier_dir=str(tmp_path / "whole"), **cfg)
+        assert names[-1] == "meta.json"
+        assert sum(
+            a.startswith("level_") and b == "meta.json"
+            for a, b in zip(names, names[1:])
+        ) > 3
 
-        monkeypatch.setattr(pool, "pool_map", dying_pool_map)
-        with pytest.raises(KeyboardInterrupt):
-            check_model(
-                n_nodes=2, loads=0, stores=1, jobs=2,
-                frontier_dir=str(tmp_path / "f"),
-            )
-        monkeypatch.setattr(pool, "pool_map", real_pool_map)
+        for kill in range(len(names)):
+            writes = []
 
-        resumed = check_model(
-            n_nodes=2, loads=0, stores=1, jobs=2,
-            frontier_dir=str(tmp_path / "f"),
-        )
-        mem = check_model(n_nodes=2, loads=0, stores=1, jobs=1)
-        assert resumed.violation is None
-        assert (resumed.states, resumed.transitions, resumed.pruned) == (
-            mem.states, mem.transitions, mem.pruned
-        )
+            def dying_write(path, data):
+                if len(writes) == kill:
+                    raise KeyboardInterrupt(f"killed at write {kill}")
+                writes.append(path.name)
+                real_write(path, data)
+
+            frontier_dir = str(tmp_path / f"kill{kill}")
+            monkeypatch.setattr(pool, "write_atomic", dying_write)
+            with pytest.raises(KeyboardInterrupt):
+                check_model(frontier_dir=frontier_dir, **cfg)
+            monkeypatch.setattr(pool, "write_atomic", real_write)
+            resumed = check_model(frontier_dir=frontier_dir, **cfg)
+            assert resumed == mem, (kill, names[kill])
 
     def test_a_run_of_another_table_is_refused(self, tmp_path):
         """A frontier dir holds the run of one handler table: checking
@@ -379,61 +391,21 @@ class TestDiskFrontier:
         race = SEED_RACES[0]
         frontier_dir = str(tmp_path / "f")
         cfg = dict(n_nodes=race.n_nodes, loads=race.loads,
-                   stores=race.stores, jobs=2, frontier_dir=frontier_dir)
+                   stores=race.stores, frontier_dir=frontier_dir)
         reverted = check_model(table=race.build_table(), **cfg)
         assert reverted.violation is not None
         assert check_model(table=race.build_table(), **cfg) == reverted
         with pytest.raises(ConfigError, match=re.escape(frontier_dir)):
             check_model(**cfg)
 
-    @given(cfg=reachable_configs)
-    @SETTINGS
-    def test_visited_digests_are_unchanged(self, cfg):
-        """Shard digests hash the key the Canonicalizer built, which
-        must be byte-identical to hashing a fresh ``state_key`` of the
-        canonical state."""
-        state = walk(*cfg)
-        canon, _, _, _, key = sym.Canonicalizer(cfg[0], cfg[1])(state)
-        want = hashlib.blake2b(
-            repr(sym.state_key(canon)).encode(), digest_size=16
-        ).digest()
-        assert frontier._key_digest(key) == want
-        assert frontier._digest(canon) == want
-
-    @pytest.mark.parametrize("cfg,want", [
-        ((2, 1, 1, 1), "2ab0bb073d4d1d7ef33ed172685652d9"),
-        ((3, 2, 0, 1), "8193f73da0a695bdad2c78381a450a86"),
-        ((4, 1, 0, 1), "cee3d309cfb4b1f3b82a0e0a50cf7f0c"),
-        ((4, 2, 1, 1), "4727b50a69543af23df06d072a9d02f9"),
-    ])
-    def test_visited_digest_bytes_are_pinned(self, cfg, want):
-        """Golden digests of the canonical states along a fixed walk
-        (nodes, lines, loads, stores), recorded from the state_key
-        serialization frontier directories have always been written
-        with.  Any change to the key's layout or repr breaks resume."""
-        n_nodes, n_lines, loads, stores = cfg
-        canon = sym.Canonicalizer(n_nodes, n_lines)
-        state = initial_state(n_nodes, loads, stores, n_lines)
-        h = hashlib.blake2b(digest_size=16)
-        for i in range(24):
-            h.update(frontier._key_digest(canon(state)[4]))
-            succ = successors(state, LAYOUT, TABLE)
-            if not succ:
-                break
-            state = succ[(i * 7) % len(succ)][1]
-        assert h.hexdigest() == want
-
     def test_finds_violations_on_disk_too(self, tmp_path):
         from test_analyze import broken_getx_table
 
         table = broken_getx_table()
-        mem = check_model(
-            n_nodes=2, loads=1, stores=1, jobs=1, table=table
-        )
+        mem = check_model(n_nodes=2, loads=1, stores=1, table=table)
         disk = check_model(
-            n_nodes=2, loads=1, stores=1, jobs=2, table=table,
+            n_nodes=2, loads=1, stores=1, table=table,
             frontier_dir=str(tmp_path / "f"),
         )
-        assert disk.violation is not None
-        assert disk.violation.code == mem.violation.code
-        assert len(disk.violation.trace) == len(mem.violation.trace)
+        assert mem.violation is not None
+        assert disk == mem

@@ -1,13 +1,13 @@
 """The model checker's successor generation: admission, memo, sharing.
 
-``model.Search`` expands every BFS entry the same way in both
-explorers (in-memory BFS, disk frontier shards):
+``model.Search`` expands every BFS entry, whether or not the search
+checkpoints to a ``--frontier-dir``:
 
 * **Admission check** — ``check_state`` runs once per new state, after
   the visited test, instead of inside each transition.  A mutant only
-  that check can catch must still be found by every explorer, with the
-  same code and trace length.  Among equally short violations, the
-  one reported must not depend on which worker finished first.
+  that check can catch must still be found, with the same code and
+  trace length, and a checkpointed run must report exactly the
+  violation the in-memory one does.
 * **Handler-run memo** — a handler's uncached ops are recorded once
   per (node, message, home directory entry) and replayed after.  The
   replay must be exact, and the memo must stay inside one search.
@@ -17,7 +17,6 @@ explorers (in-memory BFS, disk frontier shards):
 """
 
 from collections import deque
-from functools import partial
 
 import pytest
 
@@ -41,7 +40,6 @@ from repro.protocol.handlers import (
     dir_prologue,
 )
 from repro.protocol.isa import T0, T3, T4, HandlerBuilder
-from repro.sim import pool
 
 from test_analyze import broken_getx_table
 
@@ -127,51 +125,31 @@ class TestAdmissionCheck:
     ])
     def test_every_explorer_checks_new_states(self, mutant, code, tmp_path):
         """Only ``check_state`` catches these mutants: no transition
-        faults while firing.  The violation sits six steps deep, so the
-        disk frontier finds it in a shard worker.  Three nodes, so the
+        faults while firing.  The violation sits six steps deep, past
+        the first checkpointed levels.  Three nodes, so the
         canonicalizer has node ids to rename."""
         table = mutant()
         cfg = dict(n_nodes=3, loads=0, stores=1, table=table)
-        runs = {
-            "jobs1": check_model(jobs=1, **cfg),
-            "disk": check_model(
-                jobs=2, frontier_dir=str(tmp_path / "f"), **cfg
-            ),
-        }
-        for name, result in runs.items():
-            assert result.violation is not None, name
-            assert result.violation.code == code, (name, result.violation)
-        lengths = {len(r.violation.trace) for r in runs.values()}
-        assert lengths == {6}, lengths
+        memory = check_model(**cfg)
+        assert memory.violation is not None
+        assert memory.violation.code == code, memory.violation
+        assert len(memory.violation.trace) == 6
+        assert check_model(frontier_dir=str(tmp_path / "f"), **cfg) == memory
 
-    def test_ties_do_not_depend_on_completion_order(
-        self, monkeypatch, tmp_path
-    ):
+    def test_a_reverted_race_is_reported_alike_on_disk(self, tmp_path):
         """With the seed race ``stale-int-after-wb`` reverted, several
-        disk shards each find an 11-step trap.  The reported one must
-        not depend on which shard finished first."""
+        11-step traps are reachable.  A checkpointed run must report
+        the same one, with the same trace, as the in-memory run."""
         race = find_race("stale-int-after-wb")
-        found = []
-
-        def inline_pool_map(pending, fn, jobs, on_done, reverse, **_):
-            done = [(ident, p, fn(p)) for ident, p in pending]
-            for ident, p, outcome in done[::-1] if reverse else done:
-                found.extend(tuple(v["trace"]) for v in outcome["violations"])
-                on_done(ident, p, outcome, 0.0, 1)
-
-        results = {}
-        for reverse in (False, True):
-            monkeypatch.setattr(
-                pool, "pool_map", partial(inline_pool_map, reverse=reverse),
-            )
-            results[reverse] = check_model(
-                n_nodes=race.n_nodes, loads=race.loads,
-                stores=race.stores, table=race.build_table(),
-                jobs=2, frontier_dir=str(tmp_path / f"f{reverse}"),
-            )
-        assert results[False] == results[True]
-        assert {len(t) for t in found} == {11}
-        assert len(set(found)) > 2, "no tie to break"
+        cfg = dict(
+            n_nodes=race.n_nodes, loads=race.loads, stores=race.stores,
+            table=race.build_table(),
+        )
+        memory = check_model(**cfg)
+        assert memory.violation is not None
+        assert memory.violation.code == "trap"
+        assert len(memory.violation.trace) == 11
+        assert check_model(frontier_dir=str(tmp_path / "f"), **cfg) == memory
 
 
 class TestHandlerMemo:

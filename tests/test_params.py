@@ -1,6 +1,8 @@
 """Configuration objects: Table 2/3/4 defaults and validation."""
 
 import dataclasses
+import re
+from pathlib import Path
 
 import pytest
 
@@ -159,8 +161,25 @@ class TestOtherParams:
 
     def test_network_defaults(self):
         n = NetworkParams()
-        assert n.router_ports == 6
         assert n.bristle == 2
 
     def test_perfect_marker(self):
         assert PERFECT == "perfect"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+@pytest.mark.parametrize(
+    "cls", [ProcessorParams, MemoryParams, NetworkParams],
+    ids=lambda c: c.__name__,
+)
+def test_every_field_is_read(cls):
+    """A field nothing reads is a knob that changes nothing: setting it
+    would silently leave the simulated machine as it was."""
+    source = "\n".join(p.read_text() for p in SRC.rglob("*.py"))
+    unread = [
+        f.name for f in dataclasses.fields(cls)
+        if not re.search(rf"\.{f.name}\b", source)
+    ]
+    assert unread == []
