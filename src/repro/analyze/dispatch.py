@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.errors import ProtocolError
-from repro.network.messages import Message, MsgType
+from repro.network.messages import PROBE_KIND, Message, MsgType
 from repro.protocol import directory as d
 from repro.protocol.directory import DirectoryLayout
 from repro.protocol.handlers import (
@@ -50,9 +50,9 @@ from repro.memctrl.dispatch import incoming_header
 #: requester asks, the bystander is some third party.
 HOME, REQUESTER, BYSTANDER = 0, 1, 2
 
-#: Message types a home node can be asked to service for a line it
-#: owns the directory entry of (dir_prologue readers).
-_PROBE_KINDS = (MsgType.INT_SHARED, MsgType.INT_EXCL, MsgType.INVAL)
+#: The interventions that probe the local L2 (each reply needs a
+#: PROBE_DISPATCH row) and the requests a home services.
+_PROBE_KINDS = tuple(PROBE_KIND)
 _REQUEST_TYPES = (MsgType.GET, MsgType.GETX, MsgType.UPGRADE)
 
 

@@ -4,10 +4,15 @@ An explicit-state BFS over a tiny abstract machine — 2 to 6 nodes,
 one to three application lines homed at node 0 — whose *protocol*
 side is the actual handler programs executed
 instruction-by-instruction through
-:class:`repro.protocol.semantics.FunctionalRunner`, with the uncached
-operations (SENDH/SENDA/PROBE/COMPLETE/RESEND/MEMWR) mirrored from
+:class:`repro.protocol.semantics.FunctionalRunner` (``semantics.step``,
+the ISA's one functional semantics), with the uncached operations
+(SENDH/SENDA/PROBE/COMPLETE/RESEND/MEMWR) mirrored from
 :class:`repro.memctrl.controller.MemoryController` and the cache/MSHR
 side mirrored from :class:`repro.caches.hierarchy.CacheHierarchy`.
+The mirror reads the controller's own message rules from
+:mod:`repro.network.messages` — the reply set, the probe-kind map,
+header decoding, the data-bearing set and the request-type choice —
+through name-keyed views where model messages carry type names.
 Timing is abstracted away; every interleaving of message arrivals,
 issue events, and evictions is explored.
 
@@ -63,7 +68,16 @@ from collections import deque
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import ConfigError, ProtocolError
-from repro.network.messages import Message, MsgType, virtual_network
+from repro.network.messages import (
+    DATA_BEARING,
+    MTYPE_BY_VALUE,
+    PROBE_KIND,
+    REPLY_TYPES,
+    Message,
+    MsgType,
+    request_type,
+    virtual_network,
+)
 from repro.protocol import directory as d
 from repro.protocol import invariants as inv
 from repro.protocol.directory import DirectoryLayout
@@ -99,22 +113,11 @@ def line_addr(line: int) -> int:
     return LINE + line * LINE_STRIDE
 
 
-_MTYPE_BY_VALUE = {m.value: m for m in MsgType}
-
-_REPLY_NAMES = frozenset(
-    m.name
-    for m in (
-        MsgType.DATA_SHARED, MsgType.DATA_EXCL, MsgType.UPGRADE_ACK,
-        MsgType.INV_ACK, MsgType.WB_ACK, MsgType.NACK,
-        MsgType.NACK_UPGRADE, MsgType.AM_REPLY,
-    )
-)
-
-_PROBE_KINDS = {
-    "INT_SHARED": "downgrade",
-    "INT_EXCL": "inval_owner",
-    "INVAL": "inval",
-}
+#: Name-keyed views of the controller's message rules
+#: (:mod:`repro.network.messages`): model messages carry the type's
+#: name, which hashes faster than the enum in the visited set.
+_REPLIES = frozenset(m.name for m in REPLY_TYPES)
+_PROBE_KIND = {m.name: kind for m, kind in PROBE_KIND.items()}
 
 
 class MMsg(NamedTuple):
@@ -340,7 +343,7 @@ class _Sim:
     def route(self, msg: MMsg) -> None:
         """Send ``msg`` the way the MC would."""
         mtype = MsgType[msg.mtype]
-        if msg.dest == msg.src and msg.mtype not in _REPLY_NAMES:
+        if msg.dest == msg.src and msg.mtype not in _REPLIES:
             # _deliver_local -> _enqueue_local for non-replies.
             self.node(msg.src).lmi.append(msg)
         else:
@@ -442,14 +445,13 @@ class _Sim:
         return m
 
     def _execute_send(self, node_id: int, ctx_msg: MMsg, header: int) -> None:
-        mtype = _MTYPE_BY_VALUE[header_type(header)]
+        mtype = MTYPE_BY_VALUE[header_type(header)]
         out = MMsg(
             mtype.name, src=node_id, dest=header_peer(header),
             requester=header_requester(header), acks=header_acks(header),
             line=ctx_msg.line,
         )
-        if mtype in (MsgType.DATA_SHARED, MsgType.DATA_EXCL, MsgType.PUT,
-                     MsgType.SWB, MsgType.XFER):
+        if mtype in DATA_BEARING:
             if ctx_msg.mtype == "L2_PROBE_REPLY":
                 out = out._replace(version=ctx_msg.version, dirty=ctx_msg.dirty)
             else:
@@ -459,7 +461,7 @@ class _Sim:
     def _execute_probe(self, node_id: int, ctx_msg: MMsg) -> None:
         """Mirror hierarchy.probe + the MC's reply composition."""
         probe_kind = ctx_msg.mtype  # INT_SHARED / INT_EXCL / INVAL
-        kind = _PROBE_KINDS[probe_kind]
+        kind = _PROBE_KIND[probe_kind]
         line = ctx_msg.line
         node = self.nodes[node_id]
         if node.wb_pending[line]:
@@ -636,7 +638,7 @@ class _Sim:
         if mshr.inval_after_fill and node.caches[line] == "S":
             node.caches[line] = ""  # the early-acked INVAL lands now
         for probe in mshr.deferred:
-            kind = _PROBE_KINDS[probe.mtype]
+            kind = _PROBE_KIND[probe.mtype]
             found, dty, version = self._do_probe(node_id, probe.line, kind)
             self._probe_reply(node_id, probe, found, dty, version)
 
@@ -648,12 +650,7 @@ class _Sim:
         if as_getx:
             mshr = mshr._replace(request_upgrade=False)
             node.mshrs[line] = mshr
-        if mshr.request_upgrade:
-            mtype = "UPGRADE"
-        elif mshr.kind == "write":
-            mtype = "GETX"
-        else:
-            mtype = "GET"
+        mtype = request_type(mshr.request_upgrade, mshr.kind == "write").name
         msg = MMsg(
             mtype, src=node_id, dest=self.home, requester=node_id, line=line
         )
@@ -673,12 +670,7 @@ class _Sim:
         if node.wb_pending[line]:
             node.mshrs[line] = mshr._replace(unissued=True)
             return
-        if mshr.request_upgrade:
-            mtype = "UPGRADE"
-        elif mshr.kind == "write":
-            mtype = "GETX"
-        else:
-            mtype = "GET"
+        mtype = request_type(mshr.request_upgrade, mshr.kind == "write").name
         node.lmi.append(MMsg(
             mtype, src=node_id, dest=self.home, requester=node_id, line=line
         ))

@@ -9,7 +9,6 @@ workload it simulates.
 
 from repro.apps.base import AppContext
 from repro.apps.compile import (
-    APP_COMPILER_VERSION,
     CompiledKernelBuilder,
     CompiledProgram,
     app_interp_forced,
@@ -19,7 +18,6 @@ from repro.apps.program import AWAIT, KernelBuilder, ThreadProgram
 from repro.apps.runtime import AddressSpace, SpinLock, TreeBarrier, spin_until
 
 __all__ = [
-    "APP_COMPILER_VERSION",
     "AWAIT",
     "AddressSpace",
     "AppContext",

@@ -42,10 +42,6 @@ hatch), and the differential tests in
 in ``tests/test_app_compile.py``) hold the two modes to identical
 :class:`MachineStats` and protocol traces across every machine model
 and workload.
-
-Bump :data:`APP_COMPILER_VERSION` whenever compiled-mode semantics
-change: it is folded into the sweep result-cache key so stale rows
-can never be served across compiler revisions.
 """
 
 from __future__ import annotations
@@ -55,10 +51,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.apps.program import KernelBuilder, KernelFn, ThreadProgram
 from repro.isa.uop import Uop
-
-#: Folded into the sweep cache key; bump on any semantic change to
-#: compiled-mode emission or the core fast path.
-APP_COMPILER_VERSION = 1
 
 
 def app_interp_forced() -> bool:

@@ -26,7 +26,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Protocol
 
 from repro.caches.hierarchy import CacheHierarchy
-from repro.caches.mshr import MissKind, MSHREntry
+from repro.caches.mshr import MSHREntry
 from repro.common.errors import ProtocolError
 from repro.common.events import EventWheel
 from repro.common.params import MachineParams
@@ -34,7 +34,15 @@ from repro.common.queues import BoundedQueue
 from repro.common.stats import NodeStats
 from repro.memctrl.dispatch import HandlerContext, handler_name_for, incoming_header
 from repro.memctrl.sdram import SDRAM
-from repro.network.messages import EXPECTS_MEMORY_DATA, Message, MsgType
+from repro.network.messages import (
+    EXPECTS_MEMORY_DATA,
+    MTYPE_BY_VALUE,
+    PROBE_KIND,
+    REPLY_TYPES,
+    Message,
+    MsgType,
+    request_type,
+)
 from repro.protocol.directory import DirectoryLayout
 from repro.protocol.handlers import (
     PROBE_DISPATCH,
@@ -49,21 +57,6 @@ LOCAL_REPLY_LATENCY = 4  # hardware path MC -> MSHR/refill
 LOCAL_QUEUE_LATENCY = 4  # send-to-self re-enqueue
 RETRY_BASE = 100  # NACK retry backoff
 RETRY_STEP = 50
-
-_REPLY_TYPES = frozenset(
-    {
-        MsgType.DATA_SHARED,
-        MsgType.DATA_EXCL,
-        MsgType.UPGRADE_ACK,
-        MsgType.NACK,
-        MsgType.NACK_UPGRADE,
-        MsgType.INV_ACK,
-        MsgType.WB_ACK,
-        MsgType.AM_REPLY,
-    }
-)
-
-_MTYPE_BY_VALUE = {m.value: m for m in MsgType}
 
 
 class ProtocolEngine(Protocol):
@@ -145,12 +138,7 @@ class MemoryController:
 
     def app_miss(self, entry: MSHREntry) -> None:
         """Hierarchy reported an application L2 miss."""
-        if entry.request_upgrade:
-            mtype = MsgType.UPGRADE
-        elif entry.kind in (MissKind.WRITE, MissKind.PREFETCH_EX):
-            mtype = MsgType.GETX
-        else:
-            mtype = MsgType.GET
+        mtype = request_type(entry.request_upgrade, entry.kind.wants_write)
         home = self.layout.home_of(entry.line_addr)
         msg = Message(
             mtype, entry.line_addr, src=self.node_id, dest=home,
@@ -387,7 +375,7 @@ class MemoryController:
             raise ValueError("SENDA without a latched header (missing SENDH)")
         header = ctx.out_header
         ctx.out_header = None
-        mtype = _MTYPE_BY_VALUE[header_type(header)]
+        mtype = MTYPE_BY_VALUE[header_type(header)]
         dest = header_peer(header)
         # Active-memory replies address exact words, not lines.
         addr = (
@@ -431,7 +419,7 @@ class MemoryController:
 
     def _deliver_local(self, msg: Message, ready: int) -> None:
         delay = max(0, ready - self.wheel.now) + LOCAL_REPLY_LATENCY
-        if msg.mtype in _REPLY_TYPES:
+        if msg.mtype in REPLY_TYPES:
             self.wheel.schedule(delay, partial(self._apply_reply, msg))
         else:
             self.wheel.schedule(delay, partial(self._enqueue_local, msg))
@@ -440,15 +428,10 @@ class MemoryController:
         line = self.layout.line_addr(addr_value)
         probe_kind = ctx.msg.mtype  # INT_SHARED / INT_EXCL / INVAL
         origin = ctx.msg  # carries home (src) and requester
-
-        if probe_kind is MsgType.INT_SHARED:
-            kind = "downgrade"
-        elif probe_kind is MsgType.INT_EXCL:
-            kind = "inval_owner"  # ownership transfer: must yield data
-        else:
-            kind = "inval"  # sharer invalidation
         self.hierarchy.probe(
-            line, kind, partial(self._probe_response, line, probe_kind, origin)
+            line,
+            PROBE_KIND[probe_kind],
+            partial(self._probe_response, line, probe_kind, origin),
         )
 
     def _probe_response(
@@ -514,12 +497,7 @@ class MemoryController:
         self.stats.protocol.retries += 1
         if as_getx:
             entry.request_upgrade = False
-        if entry.request_upgrade:
-            mtype = MsgType.UPGRADE
-        elif entry.kind in (MissKind.WRITE, MissKind.PREFETCH_EX):
-            mtype = MsgType.GETX
-        else:
-            mtype = MsgType.GET
+        mtype = request_type(entry.request_upgrade, entry.kind.wants_write)
         home = self.layout.home_of(line_addr)
         msg = Message(mtype, line_addr, src=self.node_id, dest=home,
                       requester=self.node_id)

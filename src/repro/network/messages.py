@@ -65,13 +65,49 @@ _VN2 = frozenset(
     }
 )
 
-_DATA_BEARING = frozenset(
+#: Message types that carry a copy of the line's data.
+DATA_BEARING = frozenset(
     {MsgType.DATA_SHARED, MsgType.DATA_EXCL, MsgType.PUT, MsgType.SWB, MsgType.XFER}
 )
+
+#: Replies: one a node sends itself is applied to its own hierarchy
+#: directly, never re-queued for dispatch (the controller's
+#: ``_deliver_local``).
+REPLY_TYPES = frozenset(
+    {
+        MsgType.DATA_SHARED,
+        MsgType.DATA_EXCL,
+        MsgType.UPGRADE_ACK,
+        MsgType.NACK,
+        MsgType.NACK_UPGRADE,
+        MsgType.INV_ACK,
+        MsgType.WB_ACK,
+        MsgType.AM_REPLY,
+    }
+)
+
+#: The L2 probe each intervention or invalidation asks of the
+#: hierarchy: ownership transfer must yield data (``inval_owner``).
+PROBE_KIND = {
+    MsgType.INT_SHARED: "downgrade",
+    MsgType.INT_EXCL: "inval_owner",
+    MsgType.INVAL: "inval",
+}
+
+#: Decode a handler header's type field (``header_type``).
+MTYPE_BY_VALUE = {m.value: m for m in MsgType}
 
 #: Message types whose home-side handler wants the line's memory data
 #: fetched in parallel with handler dispatch (paper §2.1).
 EXPECTS_MEMORY_DATA = frozenset({MsgType.GET, MsgType.GETX})
+
+
+def request_type(upgrade: bool, write: bool) -> MsgType:
+    """The request a miss sends home: UPGRADE for a write to a pinned
+    SHARED copy, GETX for any other write, GET for a read."""
+    if upgrade:
+        return MsgType.UPGRADE
+    return MsgType.GETX if write else MsgType.GET
 
 
 def virtual_network(mtype: MsgType) -> int:
@@ -109,7 +145,7 @@ class Message:
 
     @property
     def carries_data(self) -> bool:
-        return self.mtype in _DATA_BEARING
+        return self.mtype in DATA_BEARING
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -18,12 +18,7 @@ Instructions are compiled in reverse program order so fallthrough and
 forward-branch successors are direct closure references; backward
 branch targets resolve through the step list on first traversal.
 
-Three programs are compiled per handler, one per execution client:
-
-``func_entry``
-    The functional core used by :class:`~repro.protocol.semantics.
-    FunctionalRunner` (unit tests, ``repro analyze``'s model checker
-    and dispatch enumerator).  State is the runner itself.
+Two programs are compiled per handler, one per timed execution client:
 
 ``pp_entry``
     The embedded dual-issue protocol processor's timing walk
@@ -40,18 +35,22 @@ Three programs are compiled per handler, one per execution client:
     protocol memory in the same order.  State is the
     ``ProtocolThreadSource`` itself.
 
-**Bit-identity contract.**  For every observable — register files,
-protocol-memory writes, the (instr, value) uncached-op stream and its
-ordering, stats counters, µop field values, exception types *and
-messages* — the compiled programs reproduce the reference interpreters
-exactly.  The interpreters stay in-tree as the executable
-specification; setting ``REPRO_INTERP=1`` routes every client back to
-them (the same escape-hatch pattern as ``REPRO_DENSE_STEP``), and the
-differential tests in ``tests/test_compile.py`` diff the two modes.
+The untimed client — :class:`~repro.protocol.semantics.FunctionalRunner`,
+which runs handlers for unit tests and ``repro analyze`` — always
+interprets through ``semantics.step``: the handler ISA has one
+functional semantics, and both programs here evaluate ALU ops through
+its ``ALU`` table.
 
-Bump :data:`COMPILER_VERSION` whenever compiled-code semantics change:
-it is folded into the sweep result-cache key so stale rows can never
-be served across compiler revisions.
+**Bit-identity contract.**  For every observable — register files,
+protocol-memory writes, the uncached-op stream and its ordering, stats
+counters, µop field values, exception types *and messages* — the
+compiled programs reproduce the reference interpreters
+(``PPEngine._execute`` and ``ProtocolThreadSource._make_uop``, both
+built on ``semantics.step``) exactly.  The interpreters stay in-tree
+as the executable specification; setting ``REPRO_INTERP=1`` routes
+both engines back to them (the same escape-hatch pattern as
+``REPRO_DENSE_STEP``), and ``tests/test_compile.py`` diffs the two
+modes: a property test on the µop feed and full-run differentials.
 """
 
 from __future__ import annotations
@@ -70,15 +69,11 @@ from repro.protocol.isa import (
     PInstr,
     POp,
 )
-
-#: Folded into the sweep cache key; bump on any semantic change here.
-COMPILER_VERSION = 1
+from repro.protocol.semantics import ALU, MASK64
 
 #: Latency of POPC/CTZ without the special bit-manipulation ALU ops
 #: (must match ``ProtocolThreadSource.SLOW_BITOP_LATENCY``).
 SLOW_BITOP_LATENCY = 16
-
-MASK64 = (1 << 64) - 1
 
 #: Ops whose uncached value is a register read (``semantics.step``).
 _VALUE_OPS = (POp.SENDH, POp.SENDA, POp.PROBE)
@@ -99,41 +94,16 @@ def interp_forced() -> bool:
     return os.environ.get("REPRO_INTERP", "") == "1"
 
 
-# ----------------------------------------------------------------------
-# ALU value functions (shared by all three programs).
-#
-# Each takes the two resolved operands and returns the 64-bit result,
-# mirroring ``semantics.alu`` exactly (POPC/CTZ ignore ``b``; the
-# callers pass 0, as ``semantics.step`` does).
-# ----------------------------------------------------------------------
-
-_ALU_FN: dict = {
-    POp.ADD: lambda a, b: (a + b) & MASK64,
-    POp.SUB: lambda a, b: (a - b) & MASK64,
-    POp.AND: lambda a, b: a & b,
-    POp.OR: lambda a, b: a | b,
-    POp.XOR: lambda a, b: a ^ b,
-    POp.NOR: lambda a, b: ~(a | b) & MASK64,
-    POp.SLL: lambda a, b: (a << (b & 63)) & MASK64,
-    POp.SRL: lambda a, b: a >> (b & 63),
-    POp.SEQ: lambda a, b: 1 if a == b else 0,
-    POp.SLT: lambda a, b: 1 if a < b else 0,
-    POp.POPC: lambda a, b: bin(a).count("1"),
-    POp.CTZ: lambda a, b: (a & -a).bit_length() - 1 if a else 64,
-}
-
-
 class CompiledHandler:
-    """The three compiled programs of one placed handler."""
+    """The two compiled programs of one placed handler."""
 
-    __slots__ = ("name", "pc", "func_entry", "pp_entry", "uop_entry")
+    __slots__ = ("name", "pc", "pp_entry", "uop_entry")
 
     def __init__(self, handler: Handler) -> None:
         self.name = handler.name
         # Programs fold the placed PC (I-cache lines, µop PCs); record
         # it so a later re-placement invalidates this compilation.
         self.pc = handler.pc
-        self.func_entry: StepFn = _compile(handler, _func_factory)
         self.pp_entry: StepFn = _compile(handler, _pp_factory(handler))
         self.uop_entry: StepFn = _compile(handler, _uop_factory(handler))
 
@@ -218,137 +188,7 @@ def _trap_message(instr: PInstr, index: int) -> str:
 
 
 # ----------------------------------------------------------------------
-# Program 1: the functional core (FunctionalRunner clients).
-#
-# State protocol: ``st.regs`` (list), ``st.pmem_read``,
-# ``st.pmem_write``, ``st.on_uncached`` — i.e. the FunctionalRunner
-# itself.  Write-to-r0 suppression matches FunctionalRunner.run.
-# ----------------------------------------------------------------------
-
-def _func_factory(
-    instr: PInstr,
-    index: int,
-    nxt: Optional[StepFn],
-    tgt: Optional[StepFn],
-) -> StepFn:
-    op = instr.op
-    rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
-
-    if op is POp.SWITCH or op is POp.LDCTXT:
-        cont = None if op is POp.LDCTXT else nxt
-
-        def f_seq(st: Any) -> Any:
-            st.on_uncached(instr, 0)
-            return cont
-        return f_seq
-
-    if op is POp.LUI:
-        value = imm & MASK64
-        if rd == 0:
-            def f_skip(st: Any) -> Any:
-                return nxt
-            return f_skip
-
-        def f_lui(st: Any) -> Any:
-            st.regs[rd] = value
-            return nxt
-        return f_lui
-
-    if op is POp.LD:
-        def f_ld(st: Any) -> Any:
-            value = st.pmem_read((st.regs[rs1] + imm) & MASK64)
-            if rd:
-                st.regs[rd] = value
-            return nxt
-        return f_ld
-
-    if op is POp.ST:
-        def f_st(st: Any) -> Any:
-            r = st.regs
-            st.pmem_write((r[rs1] + imm) & MASK64, r[rd])
-            return nxt
-        return f_st
-
-    if op is POp.BEQZ or op is POp.BNEZ:
-        want_zero = op is POp.BEQZ
-
-        def f_cond(st: Any) -> Any:
-            return tgt if (st.regs[rs1] == 0) == want_zero else nxt
-        return f_cond
-
-    if op is POp.J:
-        def f_jump(st: Any) -> Any:
-            return tgt
-        return f_jump
-
-    if op is POp.TRAP:
-        message = _trap_message(instr, index)
-
-        def f_trap(st: Any) -> Any:
-            raise ProtocolError(message)
-        return f_trap
-
-    if instr.is_uncached:
-        reads_value = op in _VALUE_OPS
-
-        def f_unc(st: Any) -> Any:
-            st.on_uncached(instr, st.regs[rs1] if reads_value else 0)
-            return nxt
-        return f_unc
-
-    # Plain ALU (register-register or register-immediate).
-    fn = _ALU_FN[op]
-    if op is POp.POPC or op is POp.CTZ:
-        def f_bitop(st: Any) -> Any:
-            if rd:
-                st.regs[rd] = fn(st.regs[rs1], 0)
-            return nxt
-        return f_bitop
-    if rs2 is None:
-        b_imm = imm & MASK64
-
-        def f_alu_ri(st: Any) -> Any:
-            if rd:
-                st.regs[rd] = fn(st.regs[rs1], b_imm)
-            return nxt
-        return f_alu_ri
-
-    rr2: int = rs2
-
-    def f_alu_rr(st: Any) -> Any:
-        r = st.regs
-        if rd:
-            r[rd] = fn(r[rs1], r[rr2])
-        return nxt
-    return f_alu_rr
-
-
-def run_functional(
-    handler: Handler,
-    runner: Any,
-    max_steps: int,
-) -> None:
-    """Drive ``handler``'s compiled functional program against a
-    FunctionalRunner-shaped state, with the interpreter's exact
-    instruction accounting (TRAPs are not counted, SWITCH/LDCTXT are;
-    the executed-instruction count is flushed to
-    ``runner.instructions_executed`` even when an exception escapes)."""
-    step: Any = compiled_for(handler).func_entry
-    n = 0
-    try:
-        while step is not None:
-            if n >= max_steps:
-                raise ProtocolError(
-                    f"handler {handler.name} exceeded {max_steps} steps"
-                )
-            step = step(runner)
-            n += 1
-    finally:
-        runner.instructions_executed += n
-
-
-# ----------------------------------------------------------------------
-# Program 2: the PP timing walk (PPEngine._execute).
+# Program 1: the PP timing walk (PPEngine._execute).
 # ----------------------------------------------------------------------
 
 class PPState:
@@ -535,7 +375,7 @@ def _pp_factory(handler: Handler) -> _Factory:
                 return nxt
             return p_lui
 
-        fn = _ALU_FN[op]
+        fn = ALU[op]
         is_bitop = op is POp.POPC or op is POp.CTZ
         b_imm = imm & MASK64
 
@@ -568,7 +408,7 @@ def _pp_factory(handler: Handler) -> _Factory:
 
 
 # ----------------------------------------------------------------------
-# Program 3: the SMTp µop feed (ProtocolThreadSource._make_uop).
+# Program 2: the SMTp µop feed (ProtocolThreadSource._make_uop).
 #
 # State protocol: the ProtocolThreadSource itself — ``regs``, ``pmem``
 # (dict), ``ctx``, ``port``, ``tid``, ``bitops``, ``index``,
@@ -702,7 +542,7 @@ def _uop_factory(handler: Handler) -> _Factory:
                 return uop
             return u_lui
 
-        fn = _ALU_FN[op]
+        fn = ALU[op]
         is_bitop = op is POp.POPC or op is POp.CTZ
         b_imm = imm & MASK64
 

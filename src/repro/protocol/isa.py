@@ -210,18 +210,6 @@ class Handler:
     def pc_of(self, index: int) -> int:
         return self.pc + index * PINSTR_BYTES
 
-    # Compiled programs are closures and cannot be pickled; drop the
-    # cache on serialization — ``compiled_for`` rebuilds it (the same
-    # deterministic threaded code) on first dispatch in the process
-    # that unpickles the table (model-check pool workers).
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["compiled"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
 
 class HandlerBuilder:
     """Fluent builder for one handler's instruction list."""

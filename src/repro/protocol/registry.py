@@ -58,8 +58,8 @@ class ProtocolBundle:
     """One registered coherence protocol.
 
     Frozen and built from module-level callables/constants only, so a
-    bundle held by a :class:`repro.core.machine.Machine` pickles by
-    reference (model-check pool workers).
+    bundle pickles by reference and a worker-process payload may carry
+    one (sweep and fuzz payloads carry protocol names today).
     """
 
     name: str

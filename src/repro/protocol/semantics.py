@@ -2,11 +2,17 @@
 
 One interpreter serves three clients:
 
+* :class:`FunctionalRunner`, which runs whole handlers for unit tests
+  and ``repro analyze`` (the model checker and dispatch enumerator),
 * the SMTp frontend's *shadow interpreter*, which resolves protocol
   register values and branch outcomes at fetch time (the pipeline then
   models timing only — see DESIGN.md),
-* the embedded dual-issue protocol processor of the non-SMTp models,
-* unit tests that run handlers standalone against a directory image.
+* the embedded dual-issue protocol processor of the non-SMTp models.
+
+The last two run compiled threaded code by default
+(:mod:`repro.protocol.compile`) and this interpreter under
+``REPRO_INTERP=1``; the compiled programs evaluate ALU ops through the
+same :data:`ALU` table.
 
 Arithmetic is 64-bit unsigned, matching the simulated engine width.
 """
@@ -14,41 +20,36 @@ Arithmetic is 64-bit unsigned, matching the simulated engine width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.common.errors import ProtocolError
-from repro.protocol import compile as pcompile
 from repro.protocol.isa import PInstr, POp
 
 MASK64 = (1 << 64) - 1
 
+#: Each ALU op's value function of its two resolved operands (POPC and
+#: CTZ ignore ``b``; :func:`step` passes 0).
+ALU: Dict[POp, Callable[[int, int], int]] = {
+    POp.ADD: lambda a, b: (a + b) & MASK64,
+    POp.SUB: lambda a, b: (a - b) & MASK64,
+    POp.AND: lambda a, b: a & b,
+    POp.OR: lambda a, b: a | b,
+    POp.XOR: lambda a, b: a ^ b,
+    POp.NOR: lambda a, b: ~(a | b) & MASK64,
+    POp.SLL: lambda a, b: (a << (b & 63)) & MASK64,
+    POp.SRL: lambda a, b: a >> (b & 63),
+    POp.SEQ: lambda a, b: 1 if a == b else 0,
+    POp.SLT: lambda a, b: 1 if a < b else 0,
+    POp.POPC: lambda a, b: bin(a).count("1"),
+    POp.CTZ: lambda a, b: (a & -a).bit_length() - 1 if a else 64,
+}
+
 
 def alu(op: POp, a: int, b: int) -> int:
-    if op is POp.ADD:
-        return (a + b) & MASK64
-    if op is POp.SUB:
-        return (a - b) & MASK64
-    if op is POp.AND:
-        return a & b
-    if op is POp.OR:
-        return a | b
-    if op is POp.XOR:
-        return a ^ b
-    if op is POp.NOR:
-        return ~(a | b) & MASK64
-    if op is POp.SLL:
-        return (a << (b & 63)) & MASK64
-    if op is POp.SRL:
-        return a >> (b & 63)
-    if op is POp.SEQ:
-        return 1 if a == b else 0
-    if op is POp.SLT:
-        return 1 if a < b else 0
-    if op is POp.POPC:
-        return bin(a).count("1")
-    if op is POp.CTZ:
-        return (a & -a).bit_length() - 1 if a else 64
-    raise ValueError(f"not an ALU op: {op}")
+    fn = ALU.get(op)
+    if fn is None:
+        raise ValueError(f"not an ALU op: {op}")
+    return fn(a, b)
 
 
 @dataclass
@@ -119,11 +120,7 @@ class FunctionalRunner:
     """Run a whole handler functionally (tests and the analyze passes).
 
     ``on_uncached(instr, value)`` receives every uncached operation in
-    program order; SWITCH/LDCTXT terminate the run.
-
-    By default handlers execute through their compiled threaded-code
-    program (:mod:`repro.protocol.compile`), which is bit-identical to
-    the interpreter below; ``REPRO_INTERP=1`` forces the interpreter.
+    program order; LDCTXT terminates the run.
     """
 
     def __init__(
@@ -140,12 +137,8 @@ class FunctionalRunner:
         self.on_uncached = on_uncached
         self.max_steps = max_steps
         self.instructions_executed = 0
-        self._interp = pcompile.interp_forced()
 
     def run(self, handler) -> None:
-        if not self._interp:
-            pcompile.run_functional(handler, self, self.max_steps)
-            return
         index = 0
         for _ in range(self.max_steps):
             instr = handler.instrs[index]

@@ -3,16 +3,18 @@
 The closure-compiled threaded-code programs
 (:mod:`repro.protocol.compile`) carry a bit-identity contract: for
 every observable, they reproduce the reference interpreters exactly.
-``REPRO_INTERP=1`` routes every client back to the interpreter, so
-both implementations stay runnable and these tests diff them:
+``REPRO_INTERP=1`` routes both timed engines back to the interpreter,
+so both implementations stay runnable and these tests diff them:
 
-* a hypothesis property runs every shipped handler (extensions
-  included) functionally in both modes over random headers, directory
-  states, register perturbations and protocol-memory background
-  values, and demands identical register files, ordered
-  protocol-memory write logs, ordered uncached-op (send/probe/...)
-  streams, executed-instruction counts — and, when a handler traps,
-  the identical exception type and message;
+* a hypothesis property drives the SMTp µop feed
+  (:class:`~repro.core.protocol_thread.ProtocolThreadSource`) through
+  every shipped handler (extensions included) in both modes — the
+  compiled ``uop_entry`` program against ``_make_uop`` — over random
+  headers, directory states (garbage included), register perturbations
+  and protocol-memory fill, and demands identical register files,
+  ordered protocol-memory write logs, emitted µop fields up to LDCTXT
+  — and, when a handler traps, the identical exception type and
+  message;
 * full event-mode ``run_app`` runs across all five Table 4 machine
   models diff ``Machine.collect_stats().to_dict()`` with compilation
   on vs off, with no fields excused — the compiled µop feed and PP
@@ -24,6 +26,7 @@ both implementations stay runnable and these tests diff them:
 from __future__ import annotations
 
 import os
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -31,14 +34,14 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ProtocolError
 from repro.core.models import MODELS
-from repro.network.messages import MsgType
+from repro.core.protocol_thread import ProtocolThreadSource
+from repro.memctrl.dispatch import HandlerContext
+from repro.network.messages import Message, MsgType
 from repro.protocol import directory as d
 from repro.protocol import extensions
-from repro.protocol.compile import COMPILER_VERSION, compiled_for, interp_forced
+from repro.protocol.compile import compiled_for, interp_forced
 from repro.protocol.directory import DirectoryLayout
-from repro.protocol.handlers import boot_registers, build_handler_table, make_header
-from repro.protocol.isa import ADDR, HDR
-from repro.protocol.semantics import FunctionalRunner
+from repro.protocol.handlers import build_handler_table, make_header
 from repro.sim.driver import run_app
 
 LAYOUT = DirectoryLayout(
@@ -50,55 +53,93 @@ extensions.install(TABLE)
 
 MASK64 = (1 << 64) - 1
 
+#: More µops than any handler emits; a run that reaches it stops there
+#: in both modes alike.
+MAX_UOPS = 10_000
+
 
 # ----------------------------------------------------------------------
-# Property: every handler, functional execution, compiled == interpreted.
+# Property: every handler's µop feed, compiled == interpreted.
 # ----------------------------------------------------------------------
 
 
-def _run_functional(name, regs, pmem, fill, interp):
-    """One functional handler run; returns every observable.
+class _PMem(dict):
+    """Protocol memory that logs writes and reads ``fill`` where unset."""
 
-    ``interp`` selects the implementation through the real
-    ``REPRO_INTERP`` switch (read at runner construction), so the test
-    exercises the same routing production uses.
-    """
+    def __init__(self, init, fill):
+        super().__init__(init)
+        self.fill = fill
+        self.writes = []
+
+    def get(self, addr, default=None):
+        return super().get(addr, self.fill)
+
+    def __setitem__(self, addr, value):
+        self.writes.append((addr, value))
+        super().__setitem__(addr, value)
+
+
+def _uop_fields(uop, index):
+    return (
+        uop.kind, uop.pc, uop.srcs, uop.dest, uop.addr, uop.value,
+        uop.taken, uop.target_pc, uop.latency, uop.pinstr, index,
+    )
+
+
+def _source(node, interp):
+    """A protocol-thread source built under the real ``REPRO_INTERP``
+    switch (read at construction), so the test exercises the same
+    routing production uses."""
     old = os.environ.pop("REPRO_INTERP", None)
     if interp:
         os.environ["REPRO_INTERP"] = "1"
     try:
-        mem = dict(pmem)
-        writes = []
-        events = []
-
-        def pmem_write(addr, value):
-            writes.append((addr, value))
-            mem[addr] = value
-
-        def on_uncached(instr, value):
-            events.append((instr.op, instr.rd, instr.rs1, instr.imm, value))
-
-        runner = FunctionalRunner(
-            regs, lambda a: mem.get(a, fill), pmem_write, on_uncached
-        )
-        error = None
-        try:
-            runner.run(TABLE[name])
-        except ProtocolError as exc:
-            error = (type(exc).__name__, str(exc))
-        return {
-            "regs": tuple(regs),
-            "writes": tuple(writes),
-            "pmem": mem,
-            "events": tuple(events),
-            "executed": runner.instructions_executed,
-            "error": error,
-        }
+        return ProtocolThreadSource(node)
     finally:
         if old is None:
             os.environ.pop("REPRO_INTERP", None)
         else:
             os.environ["REPRO_INTERP"] = old
+
+
+def _run_feed(name, node_id, msg, header, scratch, pmem, fill, bitops,
+              interp):
+    """Fetch one handler through a protocol-thread source; returns
+    every observable."""
+    mem = _PMem(pmem, fill)
+    node = SimpleNamespace(
+        layout=LAYOUT, node_id=node_id, pmem=mem,
+        mp=SimpleNamespace(
+            proc=SimpleNamespace(protocol_bitops=bitops, app_threads=1)
+        ),
+    )
+    source = _source(node, interp)
+    assert source._use_compiled is not interp
+    fetch_done = []
+    source.port = SimpleNamespace(
+        on_fetch_complete=lambda: fetch_done.append(len(uops))
+    )
+    for idx, value in scratch.items():
+        source.regs[idx] = value
+    ctx = HandlerContext(msg, TABLE[name], header)
+    source.start(ctx)
+    uops = []
+    error = None
+    try:
+        while source.fetching and len(uops) < MAX_UOPS:
+            uop = source.next_uop()
+            assert uop.ctx is ctx and uop.protocol
+            uops.append(_uop_fields(uop, source.index))
+    except ProtocolError as exc:
+        error = (type(exc).__name__, str(exc))
+    return {
+        "regs": tuple(source.regs),
+        "writes": tuple(mem.writes),
+        "uops": tuple(uops),
+        "fetching": source.fetching,
+        "fetch_done": tuple(fetch_done),
+        "error": error,
+    }
 
 
 HANDLER_NAMES = sorted(TABLE.by_name)
@@ -131,27 +172,25 @@ DIR_ENTRIES = st.one_of(
     acks=st.integers(min_value=0, max_value=0x3F),
     entry=DIR_ENTRIES,
     fill=st.integers(min_value=0, max_value=MASK64),
+    bitops=st.booleans(),
     scratch=st.dictionaries(
         st.integers(min_value=3, max_value=15),
         st.integers(min_value=0, max_value=MASK64),
         max_size=4,
     ),
 )
-def test_compiled_matches_interpreter_functionally(
+def test_compiled_uop_feed_matches_interpreter(
     name, node_id, line_index, mtype, peer, requester, acks, entry, fill,
-    scratch,
+    bitops, scratch,
 ):
     line = line_index * LAYOUT.line_bytes
-    regs = boot_registers(LAYOUT, node_id)
-    for idx, value in scratch.items():
-        if idx < len(regs):
-            regs[idx] = value
-    regs[ADDR] = line
-    regs[HDR] = make_header(mtype, peer=peer, requester=requester, acks=acks)
+    msg = Message(mtype, line, src=peer, dest=node_id, requester=requester)
+    header = make_header(mtype, peer=peer, requester=requester, acks=acks)
     pmem = {LAYOUT.dir_entry_addr(line): entry}
+    args = (name, node_id, msg, header, scratch, pmem, fill, bitops)
 
-    compiled = _run_functional(name, list(regs), pmem, fill, interp=False)
-    interp = _run_functional(name, list(regs), pmem, fill, interp=True)
+    compiled = _run_feed(*args, interp=False)
+    interp = _run_feed(*args, interp=True)
     assert compiled == interp
 
 
@@ -167,7 +206,6 @@ def test_compiled_programs_are_cached_per_placement():
     first = compiled_for(handler)
     assert compiled_for(handler) is first
     assert first.pc == handler.pc
-    assert COMPILER_VERSION >= 1
 
 
 # ----------------------------------------------------------------------

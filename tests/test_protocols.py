@@ -75,8 +75,8 @@ class TestRegistry:
             assert nd[MsgType.AM_REPLY] == "h_am_reply"
 
     def test_bundle_is_picklable(self):
-        # Model-check worker payloads carry the
-        # bundle object by value.
+        # A bundle pickles by reference to its module-level callables,
+        # so a worker-process payload may carry one by value.
         for name in registry.names():
             clone = pickle.loads(pickle.dumps(registry.get(name)))
             assert clone.name == name

@@ -44,20 +44,17 @@ def fast_cell(app="water", model="smtp", **kw):
 
 
 def bump_app_compiler_version(monkeypatch):
-    """Make :func:`code_version` hash ``apps/compile.py`` as if its
-    ``APP_COMPILER_VERSION`` had been bumped: a bump is a source edit."""
+    """Make :func:`code_version` hash ``apps/compile.py`` as if the app
+    compiler had been edited: any source edit re-keys every cell."""
     from repro.apps import compile as acompile
 
     source = Path(acompile.__file__).resolve()
-    line = f"APP_COMPILER_VERSION = {acompile.APP_COMPILER_VERSION}\n"
-    bumped = f"APP_COMPILER_VERSION = {acompile.APP_COMPILER_VERSION + 1}\n"
     read_bytes = Path.read_bytes
 
     def read_bumped(path):
         data = read_bytes(path)
         if path.resolve() == source:
-            assert line.encode() in data
-            data = data.replace(line.encode(), bumped.encode())
+            data += b"\n# a new app-compiler revision\n"
         return data
 
     monkeypatch.setattr(Path, "read_bytes", read_bumped)
@@ -184,7 +181,7 @@ class TestResultCache:
     def test_stale_rows_not_reused_across_app_compiler_versions(
             self, tmp_path, monkeypatch):
         # Regression: rows cached by an older app compiler must be
-        # re-simulated, not served, after a version bump.
+        # re-simulated, not served, after the compiler is edited.
         cache = ResultStore(tmp_path)
         old_row = run_sweep([fast_cell()], jobs=0, cache=cache)[0]
         assert old_row.ok and not old_row.cached
